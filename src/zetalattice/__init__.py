@@ -19,6 +19,7 @@ from .errors import (
     MalformedInterval,
     NonTermination,
     NotChain,
+    ParkedTermsError,
     ParseError,
     PatternError,
     ProgressViolation,
@@ -112,7 +113,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckFailed", "CycleDetected", "DivergentSeries", "DivergentWord",
     "ExponentUnderflow", "IntervalBroken", "InvalidPivot", "MalformedInterval",
-    "NonTermination", "NotChain", "ParseError", "PatternError",
+    "NonTermination", "NotChain", "ParkedTermsError", "ParseError", "PatternError",
     "ProgressViolation", "RankDeficient", "RowsDontShareStart",
     "RowsNotAdjacent", "TermBudgetExceeded", "ZeroColumn", "ZetaLatticeError",
     "CircuitDependency", "find_circuit", "kernel_basis", "rank",

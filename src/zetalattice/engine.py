@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     NonTermination,
+    ParkedTermsError,
     ProgressViolation,
     TermBudgetExceeded,
     CheckFailed,
@@ -637,9 +638,10 @@ def reduce_to_mzv(
 
     if parked:
         shapes = "; ".join(str(u) for u in list(parked.values())[:3])
-        raise CheckFailed(
+        raise ParkedTermsError(
             f"{len(parked)} term(s) with non-vanishing split boundaries were "
-            f"never cancelled: {shapes}"
+            f"never cancelled: {shapes}",
+            [term_to_json(u) for u in parked.values()],
         )
 
     for word in combo:

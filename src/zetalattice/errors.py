@@ -98,5 +98,14 @@ class CheckFailed(ZetaLatticeError):
     """A verification check (tolerance or exact step replay) did not pass."""
 
 
+class ParkedTermsError(CheckFailed):
+    """The reduction ended with parked terms that no sibling cancelled.
+    ``terms`` holds every parked term as term JSON."""
+
+    def __init__(self, message, terms):
+        self.terms = terms
+        super().__init__(message)
+
+
 class CycleDetected(ZetaLatticeError):
     """The row graph of a claimed interval matrix contains a cycle."""

@@ -20,6 +20,7 @@ through depth 3 and leaves an O(log^3 N / N^2) residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .terms import (
     Word,
     converges,
     is_admissible,
-    kernel_at,
     to_mzv,
 )
 
@@ -206,6 +206,13 @@ def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
     return EvalReport(value, N, True, err)
 
 
+@functools.lru_cache(maxsize=4096)
+def _word_value(word: Word, N: int) -> float:
+    """eval_mzv(word, N).value, memoised: a corpus's combinations share few
+    distinct words."""
+    return eval_mzv(word, N).value
+
+
 # ---------------------------------------------------------------------------
 # whole-reduction check
 
@@ -243,7 +250,7 @@ def check_reduction(
     series = eval_term(t, N)
     words_value = 0.0
     for w in sorted(combination):
-        words_value += float(combination[w]) * eval_mzv(w, word_N).value
+        words_value += float(combination[w]) * _word_value(w, word_N)
     diff = abs(series.value - words_value)
     return CheckReport(diff <= tol, series.value, words_value, diff, tol, series)
 
@@ -252,10 +259,35 @@ def check_reduction(
 # per-step checks
 
 
+def _column_forms(t: Term) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(covering rows, exponent) for each column of nonzero exponent: the
+    kernel's denominator is the product of (sum of those rows)^exponent."""
+    return tuple(
+        (tuple(i for i, (lo, hi) in enumerate(t.pattern.rows) if lo <= c <= hi), k)
+        for c, k in enumerate(t.exponents, start=1)
+        if k
+    )
+
+
+def _denominator(forms, x: Sequence[int]) -> int:
+    """prod_c L_c(x)^k_c at an integer point: the kernel there is
+    coefficient / this."""
+    den = 1
+    for rows, k in forms:
+        s = 0
+        for i in rows:
+            s += x[i]
+        den *= s**k
+    return den
+
+
 def step_check_rational(rec: TraceRecord, rng, points: int = 10) -> None:
     """Exact identity kernel(input) == sum of kernel(output) at random
-    positive rational points.  Valid for moves that keep the summation
-    variables in place: partial fractions and auxiliary-column insertion."""
+    positive integer points of [1, 2^30]^depth.  A rational-function identity
+    that holds on the positive integers holds everywhere, and a false one of
+    degree D survives one point with probability at most D / 2^30
+    (Schwartz-Zippel).  Valid for moves that keep the summation variables in
+    place: partial fractions and auxiliary-column insertion."""
     if rec.move == "emit":
         word, coeff = to_mzv(rec.input)
         if list(word) != list(rec.params["word"]) or coeff != Rat(
@@ -266,33 +298,45 @@ def step_check_rational(rec: TraceRecord, rng, points: int = 10) -> None:
     if rec.move not in ("pf_step", "insert_aux"):
         raise ValueError(f"no rational check for move {rec.move!r}")
     d = rec.input.depth
+    terms = [rec.input, *rec.outputs]
+    forms = [_column_forms(t) for t in terms]
     for _ in range(points):
-        z = [Rat(rng.randint(1, 24), rng.randint(1, 24)) for _ in range(d)]
-        lhs = kernel_at(rec.input, z)
-        rhs = sum((kernel_at(o, z) for o in rec.outputs), start=Rat(0))
+        z = [rng.randint(1, 1 << 30) for _ in range(d)]
+        lhs, *outs = (
+            Rat(t.coefficient.numerator, t.coefficient.denominator * _denominator(f, z))
+            for t, f in zip(terms, forms)
+        )
+        rhs = sum(outs, start=Rat(0))
         if lhs != rhs:
             raise CheckFailed(
                 f"{rec.move}: kernel identity fails at {z}: {lhs} != {rhs}"
             )
 
 
-def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
-    """Exact check of a harmonic split on the truncated lattice [1,B]^d: the
-    three case substitutions must biject onto the three output lattices with
-    exact kernel equality point by point.  Inverse splits are checked through
-    their forward reformulation (first output as the split term)."""
-    if rec.move == "forward_hp":
-        src = rec.input
-        outs = list(rec.outputs)
-    elif rec.move == "inverse_hp":
-        o1, o2, o3 = rec.outputs
-        src = o1
-        outs = [rec.input, o2.scaled(-1), o3.scaled(-1)]
-    else:
-        raise ValueError(f"no lattice check for move {rec.move!r}")
-    a, b = rec.params["a"], rec.params["b"]
-    d = src.depth
+@functools.lru_cache(maxsize=None)
+def _checked_split_map(a: int, b: int, d: int, bound: int) -> None:
+    """Check once per (a, b, depth, bound) that the three case substitutions
+    of _split_map biject [1,B]^d onto the three output boxes; raises
+    CheckFailed otherwise (a failure is not cached and raises again)."""
     images: list[set] = [set(), set(), set()]
+    for _, idx, y in _split_map(a, b, d, bound):
+        if y in images[idx]:
+            raise CheckFailed(f"lattice map repeats image point {y}")
+        images[idx].add(y)
+    full = itertools.product(range(1, bound + 1), repeat=d)
+    split_box = {y for y in full if y[a] + y[b] <= bound}
+    merged_box = set(itertools.product(range(1, bound + 1), repeat=d - 1))
+    for idx, want in ((0, split_box), (1, split_box), (2, merged_box)):
+        if images[idx] != want:
+            raise CheckFailed(
+                f"split ({a}, {b}): case {idx} covers {len(images[idx])} "
+                f"points, expected {len(want)}"
+            )
+
+
+def _split_map(a: int, b: int, d: int, bound: int):
+    """Yield (x, case, y) over x in [1,B]^d: the harmonic split of rows a, b
+    sends x to y in the box of output `case` (n > m, n < m, n = m)."""
     for x in itertools.product(range(1, bound + 1), repeat=d):
         n, m = x[a], x[b]
         y = list(x)
@@ -306,27 +350,57 @@ def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
             idx = 2
             y[a] = n
             del y[b]
-        ky = tuple(y)
-        if ky in images[idx]:
-            raise CheckFailed(f"lattice map repeats image point {ky}")
-        images[idx].add(ky)
-        zx = [Rat(v) for v in x]
-        zy = [Rat(v) for v in ky]
-        lhs = kernel_at(src, zx)
-        rhs = kernel_at(outs[idx], zy)
-        if lhs != rhs:
+        yield x, idx, tuple(y)
+
+
+def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
+    """Exact check of a harmonic split on the truncated lattice [1,B]^d: the
+    three case substitutions must biject onto the three output lattices with
+    exact kernel equality point by point, compared as cross-multiplied
+    integers.  Inverse splits are checked through their forward
+    reformulation (first output as the split term)."""
+    if rec.move not in ("forward_hp", "inverse_hp"):
+        raise ValueError(f"no lattice check for move {rec.move!r}")
+    if len(rec.outputs) != 3:
+        raise CheckFailed(
+            f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, expected 3"
+        )
+    if rec.move == "forward_hp":
+        src = rec.input
+        outs = list(rec.outputs)
+    else:
+        o1, o2, o3 = rec.outputs
+        src = o1
+        outs = [rec.input, o2.scaled(-1), o3.scaled(-1)]
+    a, b = rec.params["a"], rec.params["b"]
+    d = src.depth
+    depths = tuple(o.depth for o in outs)
+    if depths != (d, d, d - 1):
+        raise CheckFailed(
+            f"{rec.move} of {rec.input}: split of a depth-{d} term has "
+            f"depths {depths}, expected {(d, d, d - 1)}"
+        )
+    _checked_split_map(a, b, d, bound)
+    cs = src.coefficient
+    src_forms = _column_forms(src)
+    cases = [
+        (
+            cs.numerator * o.coefficient.denominator,
+            o.coefficient.numerator * cs.denominator,
+            _column_forms(o),
+        )
+        for o in outs
+    ]
+    # cs / D_src(x) == co / D_out(y), cross-multiplied into integers
+    for x, idx, y in _split_map(a, b, d, bound):
+        left, right, forms = cases[idx]
+        if left * _denominator(forms, y) != right * _denominator(src_forms, x):
+            lhs = Rat(cs.numerator, cs.denominator * _denominator(src_forms, x))
+            co = outs[idx].coefficient
+            rhs = Rat(co.numerator, co.denominator * _denominator(forms, y))
             raise CheckFailed(
-                f"{rec.move}: kernel mismatch at {x} -> case {idx}, {ky}: "
+                f"{rec.move}: kernel mismatch at {x} -> case {idx}, {y}: "
                 f"{lhs} != {rhs}"
-            )
-    full = set(itertools.product(range(1, bound + 1), repeat=d))
-    split_box = {y for y in full if y[a] + y[b] <= bound}
-    merged_box = set(itertools.product(range(1, bound + 1), repeat=d - 1))
-    for idx, want in ((0, split_box), (1, split_box), (2, merged_box)):
-        if images[idx] != want:
-            raise CheckFailed(
-                f"{rec.move}: case {idx} covers {len(images[idx])} points, "
-                f"expected {len(want)}"
             )
 
 

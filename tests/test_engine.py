@@ -11,8 +11,8 @@ from zetalattice.engine import (
     split_defect_vanishes,
     trace_replay,
 )
-from zetalattice.errors import CheckFailed, TermBudgetExceeded
-from zetalattice.terms import direct_sum, from_mzv, term
+from zetalattice.errors import CheckFailed, ParkedTermsError, TermBudgetExceeded
+from zetalattice.terms import direct_sum, from_mzv, parse_term, term, term_to_json
 
 TORNHEIM = term([(1, 2), (2, 3)], [1, 1, 1])
 
@@ -137,3 +137,14 @@ def test_merge_step_outputs_share_the_input_weight():
     expr = merge_step(t, 0, 1, recs.append, None)
     assert all(u.weight == t.weight for u in expr.terms())
     assert recs and recs[0].move == "forward_hp"
+
+
+def test_parked_terms_are_reported_as_term_json():
+    # a depth-4 shape whose split boundaries never cancel
+    t = term([(1, 1), (1, 4), (2, 3), (3, 5)], [2, 1, 1, 1, 1])
+    with pytest.raises(ParkedTermsError, match="never cancelled") as err:
+        reduce_to_mzv(t)
+    assert isinstance(err.value, CheckFailed)
+    assert err.value.terms
+    for obj in err.value.terms:
+        assert term_to_json(parse_term(obj)) == obj

@@ -5,6 +5,7 @@ from fractions import Fraction as Rat
 
 import pytest
 
+from zetalattice import numeric
 from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
 from zetalattice.moves import TraceRecord
@@ -19,7 +20,7 @@ from zetalattice.numeric import (
     step_check_rational,
     verify_trace,
 )
-from zetalattice.terms import from_mzv, kernel_at, term
+from zetalattice.terms import Term, from_mzv, kernel_at, term
 
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
@@ -162,6 +163,31 @@ def test_lattice_check_catches_a_wrong_split_output():
         step_check_lattice(bad)
 
 
+SPLITS_BOTH_WAYS = term([(1, 1), (1, 2), (2, 3)], [2, 1, 2])
+
+
+def test_lattice_check_catches_a_doubled_output():
+    trace = reduce_to_mzv(SPLITS_BOTH_WAYS).trace
+    for move in ("forward_hp", "inverse_hp"):
+        rec = next(r for r in trace.records if r.move == move)
+        for i in range(3):
+            outs = list(rec.outputs)
+            outs[i] = outs[i].scaled(2)
+            bad = TraceRecord(rec.move, rec.input, tuple(outs), rec.params)
+            with pytest.raises(CheckFailed):
+                step_check_lattice(bad)
+
+
+def test_lattice_check_refuses_malformed_splits_typed():
+    trace = reduce_to_mzv(SPLITS_BOTH_WAYS).trace
+    for move in ("forward_hp", "inverse_hp"):
+        rec = next(r for r in trace.records if r.move == move)
+        for outs in (rec.outputs[::-1], rec.outputs[:2], rec.outputs + rec.outputs[:1]):
+            bad = TraceRecord(rec.move, rec.input, outs, rec.params)
+            with pytest.raises(CheckFailed, match=move):
+                step_check_lattice(bad)
+
+
 def test_emit_check_catches_a_wrong_word():
     _, trace = tornheim_trace()
     rec = next(r for r in trace.records if r.move == "emit")
@@ -196,3 +222,94 @@ def test_comp_word_check_refuses_sound_splits():
     )
     with pytest.raises(CheckFailed):
         check_comp_words(bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer checks against a Fraction reference built on kernel_at
+
+
+def reference_rational(rec, rng, points=10):
+    d = rec.input.depth
+    for _ in range(points):
+        z = [Rat(rng.randint(1, 24), rng.randint(1, 24)) for _ in range(d)]
+        rhs = sum((kernel_at(o, z) for o in rec.outputs), start=Rat(0))
+        if kernel_at(rec.input, z) != rhs:
+            raise CheckFailed(f"kernel identity fails at {z}")
+
+
+def reference_lattice(rec, bound=6):
+    if rec.move == "forward_hp":
+        src, outs = rec.input, list(rec.outputs)
+    else:
+        o1, o2, o3 = rec.outputs
+        src, outs = o1, [rec.input, o2.scaled(-1), o3.scaled(-1)]
+    a, b = rec.params["a"], rec.params["b"]
+    images = [set(), set(), set()]
+    for x in itertools.product(range(1, bound + 1), repeat=src.depth):
+        n, m = x[a], x[b]
+        y = list(x)
+        if n > m:
+            idx, y[a], y[b] = 0, m, n - m
+        elif n < m:
+            idx, y[a], y[b] = 1, n, m - n
+        else:
+            idx = 2
+            del y[b]
+        if tuple(y) in images[idx]:
+            raise CheckFailed(f"repeated image {y}")
+        images[idx].add(tuple(y))
+        if kernel_at(src, [Rat(v) for v in x]) != kernel_at(outs[idx], [Rat(v) for v in y]):
+            raise CheckFailed(f"kernel mismatch at {x}")
+
+
+def verdict(check, rec, *args, malformed=()):
+    try:
+        check(rec, *args)
+    except (CheckFailed, *malformed):
+        return "rejected"
+    return "passed"
+
+
+def mutants(rec):
+    outs = list(rec.outputs)
+    for i, o in enumerate(outs):
+        exps = list(o.exponents)
+        exps[0] += 1
+        yield [*outs[:i], Term(o.pattern, tuple(exps), o.coefficient), *outs[i + 1:]], rec.input
+    yield [outs[0].scaled(-1), *outs[1:]], rec.input
+    yield [outs[0].scaled(2), *outs[1:]], rec.input
+    yield outs, rec.input.scaled(3)
+    yield outs[::-1], rec.input
+
+
+@pytest.fixture(scope="module")
+def corpus_records(corpus200):
+    """Every record the checker sees while reducing the first 20 corpus
+    terms, compensated sub-reductions included."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "check_record", lambda rec, **kw: seen.append(rec))
+        for t in corpus200[:20]:
+            reduce_to_mzv(t, verify=True)
+    return seen
+
+
+def test_integer_checks_match_the_fraction_reference(corpus_records):
+    moves = {r.move for r in corpus_records}
+    assert {"pf_step", "insert_aux", "forward_hp", "inverse_hp"} <= moves
+    for rec in corpus_records:
+        if rec.move == "emit":
+            continue
+        if rec.move in ("forward_hp", "inverse_hp"):
+            new, ref, args = step_check_lattice, reference_lattice, ()
+        else:
+            new, ref = step_check_rational, reference_rational
+        variants = [(list(rec.outputs), rec.input), *mutants(rec)]
+        for k, (outs, inp) in enumerate(variants):
+            bad = TraceRecord(rec.move, inp, tuple(outs), rec.params)
+            if new is step_check_rational:
+                args = (random.Random(k),)
+            # the reference has no shape guard: a split of the wrong depth
+            # fails inside kernel_at or at a point index
+            want = verdict(ref, bad, *args, malformed=(ValueError, IndexError))
+            assert verdict(new, bad, *args) == want, (k, rec)
