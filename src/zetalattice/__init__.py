@@ -17,7 +17,6 @@ from .errors import (
     IntervalBroken,
     InvalidPivot,
     MalformedInterval,
-    NonTermination,
     NotChain,
     ParkedTermsError,
     ParseError,
@@ -30,7 +29,7 @@ from .errors import (
     ZeroColumn,
     ZetaLatticeError,
 )
-from .linalg import CircuitDependency, find_circuit, kernel_basis, rank
+from .linalg import CircuitDependency, find_circuit, rank
 from .terms import (
     Expression,
     MZVCombination,
@@ -38,10 +37,8 @@ from .terms import (
     Rat,
     Term,
     Word,
-    apply_derivative,
     canonical_term,
     comb_add,
-    comb_scale,
     combination_to_json,
     converges,
     direct_sum,
@@ -61,7 +58,6 @@ from .terms import (
     term_to_json,
     to_mzv,
     validate_pattern,
-    word_weight,
 )
 from .moves import (
     TraceRecord,
@@ -70,19 +66,15 @@ from .moves import (
     insert_aux_column,
     inverse_hp,
     pf_step,
-    square_reduce,
 )
 from .engine import (
     ReductionResult,
     ReductionTrace,
-    duplicate_start_pair,
     first_mismatch,
     merge_step,
     reduce_to_mzv,
     split_defect_vanishes,
-    staircase_step,
     trace_replay,
-    triangularize,
 )
 from .numeric import (
     CheckReport,
@@ -98,7 +90,6 @@ from .numeric import (
 from .periods import (
     CubicalIntegrand,
     FormMonomial,
-    arnold_defect,
     cubical_integrand,
     forest_expand,
     integral_eval,
@@ -113,25 +104,24 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckFailed", "CycleDetected", "DivergentSeries", "DivergentWord",
     "ExponentUnderflow", "IntervalBroken", "InvalidPivot", "MalformedInterval",
-    "NonTermination", "NotChain", "ParkedTermsError", "ParseError", "PatternError",
+    "NotChain", "ParkedTermsError", "ParseError", "PatternError",
     "ProgressViolation", "RankDeficient", "RowsDontShareStart",
     "RowsNotAdjacent", "TermBudgetExceeded", "ZeroColumn", "ZetaLatticeError",
-    "CircuitDependency", "find_circuit", "kernel_basis", "rank",
+    "CircuitDependency", "find_circuit", "rank",
     "Expression", "MZVCombination", "Pattern", "Rat", "Term", "Word",
-    "apply_derivative", "canonical_term", "comb_add", "comb_scale",
+    "canonical_term", "comb_add",
     "combination_to_json", "converges", "direct_sum", "expand", "from_mzv",
     "is_admissible", "is_chain", "is_staircase", "kernel_at", "parse_term", "parse_word",
     "reflect", "render_combination", "stuffle_words", "term", "term_key",
-    "term_to_json", "to_mzv", "validate_pattern", "word_weight",
+    "term_to_json", "to_mzv", "validate_pattern",
     "TraceRecord", "aux_circuit", "forward_hp", "insert_aux_column",
-    "inverse_hp", "pf_step", "square_reduce",
+    "inverse_hp", "pf_step",
     "ReductionResult", "ReductionTrace", "first_mismatch", "reduce_to_mzv",
-    "staircase_step", "trace_replay", "triangularize",
-    "merge_step", "split_defect_vanishes", "duplicate_start_pair",
+    "trace_replay", "merge_step", "split_defect_vanishes",
     "CheckReport", "EvalReport", "check_record", "check_reduction",
     "eval_mzv", "eval_term", "step_check_lattice", "step_check_rational",
     "verify_trace",
-    "CubicalIntegrand", "FormMonomial", "arnold_defect", "cubical_integrand",
+    "CubicalIntegrand", "FormMonomial", "cubical_integrand",
     "forest_expand", "integral_eval", "monomial_value",
     "simplicial_coefficient", "tanh_sinh_nodes",
     "random_corpus",

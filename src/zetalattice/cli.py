@@ -7,7 +7,8 @@ or ``-`` to read stdin.  All output is deterministic JSON (keys sorted, runs
 with the same seed are byte-identical).
 
 Exit codes: 0 success, 1 a requested check failed, 2 malformed or
-unusable input, 3 the reduction aborted on its budget or progress guards.
+unusable input, 3 the reduction exceeded its term budget or found no
+applicable move.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     CheckFailed,
     DivergentSeries,
     DivergentWord,
-    NonTermination,
     ParseError,
     PatternError,
     ProgressViolation,
@@ -327,28 +327,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Every error class the CLI reports, with its exit code; anything else is a
+# bug and keeps its traceback.
+_EXIT_CODES = {
+    ParseError: 2,
+    PatternError: 2,
+    DivergentSeries: 2,
+    DivergentWord: 2,
+    CheckFailed: 1,
+    TermBudgetExceeded: 3,
+    ProgressViolation: 3,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PatternError, DivergentSeries, DivergentWord) as e:
+    except tuple(_EXIT_CODES) as e:
         print(
             json.dumps({"error": str(e), "kind": type(e).__name__}, sort_keys=True),
             file=sys.stderr,
         )
-        return 2
-    except CheckFailed as e:
-        print(
-            json.dumps({"error": str(e), "kind": type(e).__name__}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
-    except (TermBudgetExceeded, ProgressViolation, NonTermination) as e:
-        print(
-            json.dumps({"error": str(e), "kind": type(e).__name__}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 3
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

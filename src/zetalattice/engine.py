@@ -43,13 +43,13 @@ global term budget guards the whole loop.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
-    NonTermination,
     ParkedTermsError,
     ProgressViolation,
     TermBudgetExceeded,
@@ -70,13 +70,13 @@ from .terms import (
     MZVCombination,
     Rat,
     Term,
-    Word,
     canonical_term,
     comb_add,
     converges,
     is_admissible,
     is_chain,
     stuffle_words,
+    subset_masses,
     term as build_term,
     term_key,
     term_to_json,
@@ -137,23 +137,9 @@ class _Budget:
 # structural predicates on canonical terms
 
 
-def duplicate_start_pair(t: Term) -> Optional[tuple[int, int]]:
-    """Indices (a, b) for inverse_hp: among the rows sharing the lowest
-    duplicated start, the two with smallest ends; a is the longer one."""
-    starts: dict[int, list[int]] = {}
-    for idx, (s, _) in enumerate(t.pattern.rows):
-        starts.setdefault(s, []).append(idx)
-    for s in sorted(starts):
-        if len(starts[s]) > 1:
-            pair = sorted(starts[s], key=lambda r: t.pattern.rows[r][1])[:2]
-            return pair[1], pair[0]
-    return None
-
-
 def _same_start_pairs(t: Term) -> list[tuple[int, int]]:
     """All inverse-split candidates (a, b), a the longer row, ordered by
-    (shared start, shorter end, longer end).  The first entry is the pair
-    duplicate_start_pair picks."""
+    (shared start, shorter end, longer end)."""
     by_start: dict[int, list[tuple[int, int]]] = {}
     for idx, (s, e) in enumerate(t.pattern.rows):
         by_start.setdefault(s, []).append((e, idx))
@@ -181,10 +167,30 @@ def _adjacent_pairs(t: Term) -> list[tuple[int, int]]:
     return sorted(found, key=lambda p: (rows[p[0]], rows[p[1]]))
 
 
-def _is_triangular(t: Term) -> bool:
-    return t.width == t.depth and sorted(t.pattern.row_starts()) == list(
+def _split_candidates(t: Term):
+    """Every split the guarded moves may apply to ``t``, in priority order,
+    as (a, b, the term whose truncation boundary the split cuts, inverse_hp
+    outputs or None for a merge): inverse splits of rows sharing a start
+    first, then merges of adjacent rows."""
+    for a, b in _same_start_pairs(t):
+        outs = inverse_hp(t, a, b)
+        yield a, b, outs[0], outs
+    starts = t.pattern.row_starts()
+    for a, b in _adjacent_pairs(t):
+        if starts.count(starts[a]) > 1:
+            continue  # first split part would carry three equal starts
+        yield a, b, t, None
+
+
+def _mismatch_pair(t: Term) -> Optional[tuple[int, int]]:
+    """The rows (a, b), 0-based, that the staircase repair merges: those of
+    the first mismatch of a square triangular term.  None for any other
+    term and for the staircase itself."""
+    triangular = t.width == t.depth and sorted(t.pattern.row_starts()) == list(
         range(1, t.depth + 1)
     )
+    place = first_mismatch(t) if triangular else None
+    return None if place is None else (place[0] - 1, place[1] - 1)
 
 
 def first_mismatch(t: Term) -> Optional[Place]:
@@ -219,7 +225,7 @@ def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
         of the corner integrand decays);
       * subsets containing exactly one have K(T) >= |T| (one-sided strips
         vanish as usual);
-      * the leftover kernel is a valid convergent term: in particluar every
+      * the leftover kernel is a valid convergent term: in particular every
         remaining row must keep a column of its own.
     """
     d = src.depth
@@ -227,32 +233,17 @@ def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
     (sa, ea), (sb, eb) = rows[a], rows[b]
     if not (ea < sb or eb < sa):
         return None
-    exps = src.exponents
-    for mask in range(1, 1 << d):
-        ina = (mask >> a) & 1
-        inb = (mask >> b) & 1
-        if not (ina or inb):
-            continue
-        size = 0
-        covered = [False] * src.width
-        for r in range(d):
-            if (mask >> r) & 1:
-                size += 1
-                lo, hi = rows[r]
-                for c in range(lo - 1, hi):
-                    covered[c] = True
-        total = sum(k for cov, k in zip(covered, exps) if cov)
-        if ina and inb:
-            if size == 2 and total != 2:
+    pair = (1 << a) | (1 << b)
+    for mask, size, mass in subset_masses(src):
+        if mask & pair == pair:
+            if (size == 2 and mass != 2) or (size > 2 and mass <= size):
                 return None
-            if size > 2 and total <= size:
-                return None
-        elif total < size:
+        elif mask & pair and mass < size:
             return None
     touched = set(range(sa, ea + 1)) | set(range(sb, eb + 1))
     kept_cols = [c for c in range(1, src.width + 1) if c not in touched]
     sub_rows = []
-    sub_exps = [exps[c - 1] for c in kept_cols]
+    sub_exps = [src.exponents[c - 1] for c in kept_cols]
     for r in range(d):
         if r in (a, b):
             continue
@@ -293,69 +284,18 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
     a passing pair can never flip the verdict.  A convergent source passes
     automatically (its K(T) > |T| for all T); the test has teeth only on
     divergent intermediates."""
-    d = t.depth
-    rows = t.pattern.rows
-    exps = t.exponents
-    for mask in range(1, 1 << d):
-        ina = (mask >> a) & 1
-        inb = (mask >> b) & 1
-        if not (ina or inb):
+    pair = (1 << a) | (1 << b)
+    for mask, size, mass in subset_masses(t):
+        if not mask & pair:
             continue
-        size = 0
-        covered = [False] * t.width
-        for r in range(d):
-            if (mask >> r) & 1:
-                size += 1
-                lo, hi = rows[r]
-                for c in range(lo - 1, hi):
-                    covered[c] = True
-        total = sum(k for cov, k in zip(covered, exps) if cov)
-        need = size + 1 if (ina and inb) else size
-        if total < need:
+        need = size + 1 if mask & pair == pair else size
+        if mass < need:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# closures
-
-
-def triangularize(
-    t: Term, recorder: Optional[Callable] = None, budget: Optional[_Budget] = None
-) -> Expression:
-    """Formal closure of the inverse split: resolve duplicated row starts
-    until every term is a chain, has pairwise-distinct starts, or dropped in
-    depth.  The row-start sum strictly increases on depth-preserving outputs,
-    so this terminates.  No boundary guard: this is the regularized
-    bookkeeping tool, not the value-certified path."""
-    done = Expression()
-    work = [canonical_term(t)]
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 1_000_000:
-            raise NonTermination("triangularize exceeded its step bound")
-        cur = work.pop()
-        if is_chain(cur):
-            done.add(cur)
-            continue
-        pair = duplicate_start_pair(cur)
-        if pair is None:
-            done.add(cur)
-            continue
-        if budget is not None:
-            budget.tick()
-        a, b = pair
-        outs = inverse_hp(cur, a, b)
-        if recorder is not None:
-            recorder(TraceRecord("inverse_hp", cur, tuple(outs), {"a": a, "b": b}))
-        start_sum = sum(cur.pattern.row_starts())
-        for o in outs:
-            co = canonical_term(o)
-            if co.depth == cur.depth:
-                assert sum(co.pattern.row_starts()) > start_sum
-            work.append(co)
-    return done
+# the merge step
 
 
 def merge_step(
@@ -414,19 +354,6 @@ def merge_step(
                 continue
             result.add(raw)
     return result
-
-
-def staircase_step(
-    t: Term, recorder: Optional[Callable] = None, budget: Optional[_Budget] = None
-) -> Expression:
-    """Repair the first staircase mismatch (i, j) of a square triangular
-    non-chain term: merge row i (ending at j-1) with row j."""
-    place = first_mismatch(t)
-    assert place is not None, "staircase_step needs a mismatch"
-    i, j = place
-    assert t.pattern.rows[i - 1] == (i, j - 1)
-    assert t.pattern.rows[j - 1][0] == j
-    return merge_step(t, i - 1, j - 1, recorder, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -527,81 +454,49 @@ def reduce_to_mzv(
             settle(outs)
             continue
 
+        # Moves 4-7 share one candidate order.  The first split whose
+        # boundary vanishes wins; failing that, the first one whose boundary
+        # tends to an exact constant is applied anyway and the constant is
+        # emitted, sign fixed by the split direction (an inverse split books
+        # the corner with the opposite orientation).  The staircase repair
+        # leads the vanishing pass only; a triangular term has distinct
+        # starts, so it never has inverse-split candidates to overtake.
+        lead = _mismatch_pair(t)
+        leads = [] if lead is None else [(*lead, t, None)]
         split = None
-        for a, b in _same_start_pairs(t):
-            outs = inverse_hp(t, a, b)
-            if split_defect_vanishes(outs[0], a, b):
-                split = (a, b, outs)
+        for a, b, src, outs in itertools.chain(leads, _split_candidates(t)):
+            if split_defect_vanishes(src, a, b):
+                split = (a, b, outs, None)
                 break
-        if split is not None:
-            a, b, outs = split
-            recorder(TraceRecord("inverse_hp", t, tuple(outs), {"a": a, "b": b}))
-            settle(outs)
-            continue
-
-        merge = None
-        if _is_triangular(t):
-            place = first_mismatch(t)
-            if place is not None and split_defect_vanishes(
-                t, place[0] - 1, place[1] - 1
-            ):
-                merge = (place[0] - 1, place[1] - 1)
-        if merge is None:
-            starts = t.pattern.row_starts()
-            for a, b in _adjacent_pairs(t):
-                if starts.count(starts[a]) > 1:
-                    continue  # first split part would carry three equal starts
-                if split_defect_vanishes(t, a, b):
-                    merge = (a, b)
-                    break
-        if merge is not None:
-            settle(merge_step(t, merge[0], merge[1], recorder, budget).terms())
-            continue
-
-        # No split with a vanishing boundary.  Look for one whose boundary
-        # tends to an exact constant instead: apply it and emit the
-        # constant, sign fixed by the split direction (an inverse split
-        # books the corner with the opposite orientation).
-        comp = None
-        for a, b in _same_start_pairs(t):
-            outs = inverse_hp(t, a, b)
-            sub = _comp_subterm(outs[0], a, b)
-            if sub is not None:
-                comp = (1, a, b, outs, sub)
-                break
-        if comp is None:
-            starts = t.pattern.row_starts()
-            for a, b in _adjacent_pairs(t):
-                if starts.count(starts[a]) > 1:
-                    continue
-                sub = _comp_subterm(t, a, b)
+        else:
+            for a, b, src, outs in _split_candidates(t):
+                sub = _comp_subterm(src, a, b)
                 if sub is not None:
-                    comp = (-1, a, b, None, sub)
+                    split = (a, b, outs, sub)
                     break
-        if comp is not None:
-            sign, a, b, outs, sub = comp
-            subres = reduce_to_mzv(
-                sub,
-                max_terms=max_terms,
-                verify=verify,
-                seed=seed,
-                lattice_bound=lattice_bound,
-                rational_points=rational_points,
-            )
+        if split is not None:
+            a, b, outs, sub = split
             words: MZVCombination = {}
-            for w, c in subres.combination.items():
-                for sw, m in stuffle_words((2,), w).items():
-                    comb_add(words, sw, sign * t.coefficient * c * m)
-            wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
-            if outs is not None:
-                recorder(
-                    TraceRecord(
-                        "inverse_hp",
-                        t,
-                        tuple(outs),
-                        {"a": a, "b": b, "comp_words": wparams},
-                    )
+            wparams = None
+            if sub is not None:
+                sign = 1 if outs is not None else -1
+                subres = reduce_to_mzv(
+                    sub,
+                    max_terms=max_terms,
+                    verify=verify,
+                    seed=seed,
+                    lattice_bound=lattice_bound,
+                    rational_points=rational_points,
                 )
+                for w, c in subres.combination.items():
+                    for sw, m in stuffle_words((2,), w).items():
+                        comb_add(words, sw, sign * t.coefficient * c * m)
+                wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
+            if outs is not None:
+                params: dict = {"a": a, "b": b}
+                if wparams is not None:
+                    params["comp_words"] = wparams
+                recorder(TraceRecord("inverse_hp", t, tuple(outs), params))
                 settle(outs)
             else:
                 settle(
@@ -625,15 +520,9 @@ def reduce_to_mzv(
             recorder(TraceRecord("inverse_hp", t, tuple(outs), {"a": a, "b": b}))
             settle(outs)
             continue
-        if _is_triangular(t):
-            place = first_mismatch(t)
-            if place is not None:
-                settle(
-                    merge_step(
-                        t, place[0] - 1, place[1] - 1, recorder, budget
-                    ).terms()
-                )
-                continue
+        if lead is not None:
+            settle(merge_step(t, *lead, recorder, budget).terms())
+            continue
         raise ProgressViolation(f"no applicable move for {t}")
 
     if parked:

@@ -39,7 +39,8 @@ class NotChain(ZetaLatticeError):
 
 
 class ParseError(ZetaLatticeError, ValueError):
-    """Malformed JSON / word syntax on an external interface."""
+    """Malformed JSON / word syntax on an external interface, or a
+    summation cutoff or node count below 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +71,8 @@ class IntervalBroken(ZetaLatticeError):
 # reduction engine guards
 
 
-class NonTermination(ZetaLatticeError):
-    """An inner closure exceeded its provable step bound (must not occur)."""
-
-
 class ProgressViolation(ZetaLatticeError):
-    """A staircase-repair output failed the strict progress assertion."""
+    """The reduction found no applicable move for a term."""
 
 
 class TermBudgetExceeded(ZetaLatticeError):

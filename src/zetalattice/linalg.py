@@ -88,29 +88,6 @@ def rank(columns: Sequence[Sequence]) -> int:
     return r
 
 
-def kernel_basis(columns: Sequence[Sequence]) -> list[Vector]:
-    """A basis of the right kernel: vectors t with sum t_j * col_j == 0.
-
-    One basis vector per non-pivot column, read off the echelon expansion.
-    """
-    cols = [_as_vec(c) for c in columns]
-    if not cols:
-        return []
-    ech = _Echelon(len(cols[0]))
-    basis = []
-    for j, v in enumerate(cols):
-        if all(x == 0 for x in v):
-            rep = {j: Fraction(1)}
-        else:
-            rep = ech.insert(j, v)
-        if rep is not None:
-            vec = [Fraction(0)] * len(cols)
-            for k, c in rep.items():
-                vec[k] = c
-            basis.append(tuple(vec))
-    return basis
-
-
 def _normalize(rep: dict[int, Fraction]) -> CircuitDependency:
     members = tuple(sorted(rep))
     lead = rep[members[0]]

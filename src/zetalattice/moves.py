@@ -29,19 +29,16 @@ the caller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     ExponentUnderflow,
     IntervalBroken,
     InvalidPivot,
-    NonTermination,
     RowsDontShareStart,
     RowsNotAdjacent,
 )
 from .linalg import CircuitDependency, find_circuit
-from .terms import Expression, Pattern, Rat, Term, canonical_term
+from .terms import Pattern, Rat, Term
 
 
 @dataclass
@@ -105,42 +102,20 @@ def pf_step(t: Term, circuit: CircuitDependency, pivot: int) -> list[Term]:
     return out
 
 
-def square_reduce(t: Term, recorder=None) -> Expression:
-    """Repeat pf_step (pivot = the circuit member of maximal column
-    position) until the distinct support columns of every term are linearly
-    independent.  Deterministic; strictly lexicographically decreasing
-    exponent vectors bound the loop."""
-    done = Expression()
-    work = [canonical_term(t)]
-    budget = 4 ** (t.weight + t.width) + 64  # generous; loop is provably finite
-    while work:
-        budget -= 1
-        if budget < 0:
-            raise NonTermination("square_reduce exceeded its step bound")
-        cur = work.pop()
-        circuit = find_circuit(cur.pattern.columns())
-        if circuit is None:
-            done.add(cur)
-            continue
-        pivot = max(circuit.members)
-        outs = pf_step(cur, circuit, pivot)
-        if recorder is not None:
-            recorder(
-                TraceRecord(
-                    "pf_step",
-                    cur,
-                    tuple(outs),
-                    {"members": list(circuit.members),
-                     "coefficients": [str(c) for c in circuit.coefficients],
-                     "pivot": pivot},
-                )
-            )
-        work.extend(canonical_term(o) for o in outs)
-    return done
-
-
 # ---------------------------------------------------------------------------
 # harmonic product
+
+
+def _with_rows(t: Term, a: int, b: int, ra, rb, sign=Rat(1)) -> Term:
+    """``t`` with row a replaced by ``ra`` and row b by ``rb`` (dropped when
+    ``rb`` is None), coefficient times ``sign``; exponents unchanged."""
+    rows = list(t.pattern.rows)
+    rows[a] = ra
+    if rb is None:
+        del rows[b]
+    else:
+        rows[b] = rb
+    return Term(Pattern(t.width, tuple(rows)), t.exponents, t.coefficient * sign)
 
 
 def forward_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
@@ -158,20 +133,10 @@ def forward_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
         raise RowsNotAdjacent(
             f"rows ({i},{j}) and ({j1},{k}) do not touch end-to-start"
         )
-
-    def with_rows(ra, rb) -> Term:
-        rows = list(t.pattern.rows)
-        rows[a] = ra
-        if rb is None:
-            del rows[b]
-        else:
-            rows[b] = rb
-        return Term(Pattern(t.width, tuple(rows)), t.exponents, t.coefficient)
-
     return (
-        with_rows((i, k), (i, j)),
-        with_rows((i, k), (j1, k)),
-        with_rows((i, k), None),
+        _with_rows(t, a, b, (i, k), (i, j)),
+        _with_rows(t, a, b, (i, k), (j1, k)),
+        _with_rows(t, a, b, (i, k), None),
     )
 
 
@@ -194,22 +159,10 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
         )
     if not j < k:
         raise RowsDontShareStart("rowB must end strictly before rowA")
-
-    def with_rows(ra, rb, sign) -> Term:
-        rows = list(t.pattern.rows)
-        rows[a] = ra
-        if rb is None:
-            del rows[b]
-        else:
-            rows[b] = rb
-        return Term(
-            Pattern(t.width, tuple(rows)), t.exponents, t.coefficient * sign
-        )
-
     return (
-        with_rows((c, j), (j + 1, k), Rat(1)),
-        with_rows((c, k), (j + 1, k), Rat(-1)),
-        with_rows((c, k), None, Rat(-1)),
+        _with_rows(t, a, b, (c, j), (j + 1, k)),
+        _with_rows(t, a, b, (c, k), (j + 1, k), Rat(-1)),
+        _with_rows(t, a, b, (c, k), None, Rat(-1)),
     )
 
 

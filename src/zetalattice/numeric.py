@@ -155,6 +155,8 @@ def _partial_sum(t: Term, N: int) -> float:
 
 def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
     """Extrapolated numeric value of a convergent term's lattice series."""
+    if N is not None and N < 1:
+        raise ParseError(f"cutoff N must be at least 1, got {N}")
     if not converges(t):
         raise DivergentSeries(
             f"{t} diverges: some set of rows carries no more exponent "
@@ -197,6 +199,8 @@ def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
         raise ParseError(f"not a composition: {word!r}")
     if not is_admissible(w):
         raise DivergentWord(f"zeta{w} diverges (first part < 2)")
+    if N < 1:
+        raise ParseError(f"cutoff N must be at least 1, got {N}")
     if N < 16:
         v = _word_partials(w, [N])[0]
         return EvalReport(v, N, False, float("inf"))

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CycleDetected, DivergentSeries
+from .errors import CycleDetected, DivergentSeries, ParseError
 from .numeric import EvalReport
 from .terms import Pattern, Rat, Term, converges, expand
 
@@ -152,6 +152,8 @@ def _ts_value(ci: CubicalIntegrand, count: int) -> float:
 def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     """Evaluate a convergent term through its cube integral.  The error
     estimate compares against the same rule at half the node count."""
+    if nodes is not None and nodes < 1:
+        raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):
         raise DivergentSeries(
             f"{t} diverges: some set of rows carries no more exponent mass "
@@ -321,30 +323,3 @@ def simplicial_coefficient(pattern: Pattern, ts: Sequence[Rat]) -> Rat:
     for c in range(1, pattern.width + 1):
         val /= _tval(c, ts)
     return val
-
-
-def wedge_matrix(f1: tuple[int, int], f2: tuple[int, int], ts: Sequence[Rat]):
-    """The 2-form dlog(f1) ^ dlog(f2) as an antisymmetric coefficient
-    matrix over (dt_p, dt_q) pairs."""
-    r = omega_gradient(*f1, ts)
-    s = omega_gradient(*f2, ts)
-    w = len(ts)
-    return [
-        [r[p] * s[q] - r[q] * s[p] for q in range(w)] for p in range(w)
-    ]
-
-
-def arnold_defect(i: int, j: int, k: int, ts: Sequence[Rat]) -> Rat:
-    """Largest absolute entry of w_ij^w_jk + w_jk^w_ik + w_ik^w_ij at the
-    point; identically zero is the classical three-term relation."""
-    a = wedge_matrix((i, j), (j, k), ts)
-    b = wedge_matrix((j, k), (i, k), ts)
-    c = wedge_matrix((i, k), (i, j), ts)
-    w = len(ts)
-    worst = Rat(0)
-    for p in range(w):
-        for q in range(w):
-            v = abs(a[p][q] + b[p][q] + c[p][q])
-            if v > worst:
-                worst = v
-    return worst

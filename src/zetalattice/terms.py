@@ -247,6 +247,22 @@ def expand(t: Term) -> Pattern:
     return Pattern(t.weight, tuple(new_rows))
 
 
+def subset_masses(t: Term) -> Iterator[tuple[int, int, int]]:
+    """Yield (mask, |S|, K(S)) for every nonempty set S of rows, where bit r
+    of mask marks row r (0-based) and K(S) is the total exponent of the
+    columns covered by S.  Convergence and the engine's split-boundary tests
+    all read this scan; it is lazy, so a test that fails early stops early."""
+    rows = t.pattern.rows
+    cover = [
+        sum(1 << r for r, (a, b) in enumerate(rows) if a <= c <= b)
+        for c in range(1, t.width + 1)
+    ]
+    d = len(rows)
+    for mask in range(1, 1 << d):
+        mass = sum(k for m, k in zip(cover, t.exponents) if m & mask)
+        yield mask, bin(mask).count("1"), mass
+
+
 def converges(t: Term) -> bool:
     """True iff the lattice sum is finite: for every nonempty set S of rows,
     the total exponent of the columns covered by S must exceed |S|.
@@ -257,21 +273,7 @@ def converges(t: Term) -> bool:
     "at least two units per expanded row" test, which settles depth <= 2 but
     misses joint blowup of several rows: rows (1,2),(1,3),(2,3) with unit
     exponents pass every row test yet diverge like log B on the diagonal."""
-    d = t.depth
-    rows = t.pattern.rows
-    for mask in range(1, 1 << d):
-        covered = [False] * t.width
-        size = 0
-        for r in range(d):
-            if mask >> r & 1:
-                size += 1
-                a, b = rows[r]
-                for c in range(a - 1, b):
-                    covered[c] = True
-        k = sum(k_c for c, k_c in enumerate(t.exponents) if covered[c])
-        if k <= size:
-            return False
-    return True
+    return all(mass > size for _, size, mass in subset_masses(t))
 
 
 def reflect(t: Term) -> Term:
@@ -368,31 +370,8 @@ def from_mzv(word: Sequence[int]) -> Term:
     return term(rows, tuple(reversed(w)))
 
 
-def word_weight(word: Word) -> int:
-    return sum(word)
-
-
 def is_admissible(word: Word) -> bool:
     return bool(word) and word[0] >= 2
-
-
-# ---------------------------------------------------------------------------
-# derivative action: one exponent bump per support column of the chosen row
-
-
-def apply_derivative(t: Term, row: int) -> "Expression":
-    """d/dz_row of the kernel:  sum over support columns c of
-    (-k_c) * (same term with k_c + 1).  Raises IndexError on a bad row."""
-    if not 0 <= row < t.depth:
-        raise IndexError(f"row {row} out of range for depth {t.depth}")
-    out = Expression()
-    a, b = t.pattern.rows[row]
-    for c in range(a, b + 1):
-        k = t.exponents[c - 1]
-        exps = list(t.exponents)
-        exps[c - 1] = k + 1
-        out.add(Term(t.pattern, tuple(exps), t.coefficient * Rat(-k)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,37 +453,34 @@ def comb_add(dst: MZVCombination, word: Word, coeff: Rat) -> None:
         dst[word] = c
 
 
-def comb_scale(comb: MZVCombination, c: Rat) -> MZVCombination:
-    return {w: x * c for w, x in comb.items()} if c != 0 else {}
-
-
 def stuffle_words(u: Sequence[int], v: Sequence[int]) -> MZVCombination:
     """Quasi-shuffle product of two words (empty word = unit):
     u * v = u1.(u' * v) + v1.(u * v') + (u1+v1).(u' * v')."""
     u = tuple(int(x) for x in u)
     v = tuple(int(x) for x in v)
-    memo: dict = {}
+    return _stuffle(u, v, {})
 
-    def rec(a: Word, b: Word) -> MZVCombination:
-        if not a:
-            return {b: Rat(1)}
-        if not b:
-            return {a: Rat(1)}
-        key = (a, b)
-        if key in memo:
-            return memo[key]
-        out: MZVCombination = {}
-        for head, tail in (
-            (a[0], rec(a[1:], b)),
-            (b[0], rec(a, b[1:])),
-            (a[0] + b[0], rec(a[1:], b[1:])),
-        ):
-            for w, c in tail.items():
-                comb_add(out, (head,) + w, c)
-        memo[key] = out
-        return out
 
-    return rec(u, v)
+def _stuffle(a: Word, b: Word, memo: dict) -> MZVCombination:
+    # Module-level with an explicit memo: a self-referencing closure would
+    # leave a reference cycle behind on every call.
+    if not a:
+        return {b: Rat(1)}
+    if not b:
+        return {a: Rat(1)}
+    key = (a, b)
+    if key in memo:
+        return memo[key]
+    out: MZVCombination = {}
+    for head, tail in (
+        (a[0], _stuffle(a[1:], b, memo)),
+        (b[0], _stuffle(a, b[1:], memo)),
+        (a[0] + b[0], _stuffle(a[1:], b[1:], memo)),
+    ):
+        for w, c in tail.items():
+            comb_add(out, (head,) + w, c)
+    memo[key] = out
+    return out
 
 
 def render_combination(comb: MZVCombination) -> str:

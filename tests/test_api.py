@@ -1,0 +1,26 @@
+import importlib
+
+import zetalattice
+
+# Exported once, removed since: nothing outside their own tests called them.
+REMOVED = {
+    "engine": ("triangularize", "staircase_step", "duplicate_start_pair"),
+    "moves": ("square_reduce",),
+    "linalg": ("kernel_basis",),
+    "terms": ("apply_derivative", "comb_scale", "word_weight"),
+    "periods": ("arnold_defect", "wedge_matrix"),
+    "errors": ("NonTermination",),
+}
+
+
+def test_public_names_resolve_once_and_removed_names_are_gone():
+    names = zetalattice.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(zetalattice, name), name
+    for module, gone in REMOVED.items():
+        mod = importlib.import_module(f"zetalattice.{module}")
+        for name in gone:
+            assert name not in names
+            assert not hasattr(zetalattice, name), name
+            assert not hasattr(mod, name), (module, name)

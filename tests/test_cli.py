@@ -59,6 +59,18 @@ def test_parse_errors_exit_2():
     run_cli("eval", '{"rows": [[1,1]], "exponents": [1]}', expect=2)
 
 
+def test_non_positive_cutoffs_exit_2():
+    zeta2 = '{"rows": [[1,1]], "exponents": [2]}'
+    for args in (
+        ("mzv", "2", "--N", "0"),
+        ("eval", zeta2, "--N", "-5"),
+        ("check", TORNHEIM, "--N", "0"),
+        ("integral", zeta2, "--nodes", "0"),
+    ):
+        err = json.loads(run_cli(*args, expect=2).stderr)
+        assert err["kind"] == "ParseError", args
+
+
 def test_budget_exhaustion_exits_3():
     run_cli("reduce", TORNHEIM, "--max-terms", "1", expect=3)
 

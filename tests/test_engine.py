@@ -4,7 +4,6 @@ import pytest
 
 from zetalattice.engine import (
     _comp_subterm,
-    duplicate_start_pair,
     first_mismatch,
     merge_step,
     reduce_to_mzv,
@@ -68,16 +67,6 @@ def test_inadmissible_staircase_is_emitted_formally():
 
 # ---------------------------------------------------------------------------
 # structural predicates
-
-
-def test_duplicate_start_pair_feeds_inverse_hp():
-    from zetalattice.moves import inverse_hp
-
-    t = term([(1, 2), (1, 1), (3, 3)], [1, 1, 2])
-    dp = duplicate_start_pair(t)
-    assert dp is not None
-    inverse_hp(t, *dp)  # must not raise
-    assert duplicate_start_pair(TORNHEIM) is None
 
 
 def test_first_mismatch_spots_non_staircases():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetalattice.linalg import CircuitDependency, find_circuit, kernel_basis, rank
+from zetalattice.linalg import CircuitDependency, find_circuit, rank
 
 
 def test_rank_counts_independent_columns():
@@ -10,15 +10,6 @@ def test_rank_counts_independent_columns():
     assert rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert rank([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
     assert rank([]) == 0
-
-
-def test_kernel_basis_annihilates_columns():
-    cols = [(1, 0), (0, 1), (1, 1), (2, 1)]
-    basis = kernel_basis(cols)
-    assert len(basis) == 2
-    for vec in basis:
-        for r in range(2):
-            assert sum(v * cols[i][r] for i, v in enumerate(vec)) == 0
 
 
 def test_independent_columns_have_no_circuit():

@@ -11,7 +11,6 @@ from zetalattice.moves import (
     insert_aux_column,
     inverse_hp,
     pf_step,
-    square_reduce,
 )
 from zetalattice.terms import Term, canonical_term, kernel_at, term
 
@@ -59,23 +58,6 @@ def test_pf_step_guards():
     aux = Term(Pattern(3, ((1, 2), (2, 3))), (0, 1, 1), Rat(1))
     with pytest.raises(ExponentUnderflow):
         pf_step(aux, cir, pivot=2)
-
-
-def test_square_reduce_reaches_independent_columns():
-    t = term([(1, 2), (2, 3)], [1, 1, 1])
-    done = square_reduce(t)
-    for u in done.terms():
-        assert find_circuit(u.pattern.columns()) is None
-        assert u.weight == t.weight
-    # exact kernel identity carries through the whole cascade
-    for p in POINTS:
-        assert sum(kernel_at(u, p) for u in done.terms()) == kernel_at(t, p)
-
-
-def test_square_reduce_fixes_independent_input():
-    t = term([(1, 1), (2, 2)], [2, 2])
-    done = square_reduce(t)
-    assert done.terms() == [t]
 
 
 # ---------------------------------------------------------------------------

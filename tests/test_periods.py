@@ -7,14 +7,12 @@ import pytest
 from zetalattice.errors import CycleDetected, DivergentSeries
 from zetalattice.numeric import eval_term
 from zetalattice.periods import (
-    arnold_defect,
     cubical_integrand,
     forest_expand,
     integral_eval,
     monomial_value,
     simplicial_coefficient,
     tanh_sinh_nodes,
-    wedge_matrix,
 )
 from zetalattice.terms import Pattern, term
 
@@ -99,16 +97,3 @@ def test_forest_expansion_is_an_exact_identity():
 def test_forest_expand_refuses_dependent_rows():
     with pytest.raises(CycleDetected):
         forest_expand(Pattern(2, ((1, 1), (2, 2), (1, 2))))
-
-
-def test_three_term_wedge_relation_vanishes():
-    rng = random.Random(5)
-    for _ in range(10):
-        p = rational_point(rng, 4)
-        assert arnold_defect(1, 2, 3, p) == 0
-        assert arnold_defect(0, 2, 4, p) == 0
-    # sanity: individual wedges are not themselves zero
-    p = rational_point(rng, 4)
-    assert any(
-        wedge_matrix((1, 2), (2, 3), p)[i][j] != 0 for i in range(4) for j in range(4)
-    )

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as Rat
 
 import pytest
@@ -21,6 +22,7 @@ from zetalattice.terms import (
     parse_term,
     reflect,
     stuffle_words,
+    subset_masses,
     term,
     term_key,
     term_to_json,
@@ -104,6 +106,12 @@ def test_row_mass_two_is_enough_at_depth_two():
         ([(1, 2), (2, 4)], [1, 1, 1, 1]),
     ]:
         assert converges(term(rows, ks))
+
+
+def test_subset_masses_lists_every_row_set():
+    t = term([(1, 2), (2, 3)], [1, 2, 3])
+    assert list(subset_masses(t)) == [(1, 1, 3), (2, 1, 5), (3, 2, 6)]
+    assert len(list(subset_masses(term([(1, 3), (2, 3), (3, 3)], [1, 1, 2])))) == 7
 
 
 def test_three_overlapping_rows_can_pool_too_little_mass():
@@ -215,6 +223,16 @@ def test_stuffle_is_commutative():
     assert stuffle_words((2, 1), (3,)) == stuffle_words((3,), (2, 1))
 
 
+def test_stuffle_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        stuffle_words((2,), (2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # JSON round trips
 
@@ -232,34 +250,3 @@ def test_parse_term_accepts_string_form():
     s = json.dumps(term_to_json(t))
     assert parse_term(s) == t
 
-
-# ---------------------------------------------------------------------------
-# row derivatives, against an independent symbolic oracle
-
-
-def test_apply_derivative_matches_symbolic_differentiation():
-    sympy = pytest.importorskip("sympy")
-    from zetalattice.terms import apply_derivative
-
-    t = term([(1, 2), (2, 3)], [2, 1, 3], Rat(3, 5))
-    zs = sympy.symbols("z0 z1", positive=True)
-    kernel = sympy.Rational(3, 5)
-    for c in range(1, t.width + 1):
-        form = sum(zs[r] for r in range(t.depth) if t.pattern.covers(r, c))
-        kernel *= form ** (-t.exponents[c - 1])
-    points = [[Rat(3, 7), Rat(5, 11)], [Rat(2, 9), Rat(8, 3)]]
-    for row in range(t.depth):
-        dt = apply_derivative(t, row)
-        sym = sympy.diff(kernel, zs[row])
-        for p in points:
-            lhs = sum(kernel_at(u, p) for u in dt.terms())
-            got = sym.subs({z: sympy.Rational(v.numerator, v.denominator)
-                            for z, v in zip(zs, p)})
-            assert lhs == Rat(int(got.p), int(got.q))
-
-
-def test_apply_derivative_rejects_bad_rows():
-    from zetalattice.terms import apply_derivative
-
-    with pytest.raises(IndexError):
-        apply_derivative(term([(1, 1)], [2]), 1)
