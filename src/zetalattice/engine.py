@@ -203,7 +203,7 @@ def first_mismatch(t: Term) -> Optional[Place]:
     assert [s for s, _ in rows] == list(range(1, d + 1)), "term must be triangular"
     for j in range(1, d + 1):
         for i in range(1, j):
-            if rows[i - 1][1] < j:
+            if not t.pattern.cover[j - 1] >> (i - 1) & 1:
                 return (i, j)
     return None
 
@@ -228,9 +228,7 @@ def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
       * the leftover kernel is a valid convergent term: in particular every
         remaining row must keep a column of its own.
     """
-    d = src.depth
-    rows = src.pattern.rows
-    (sa, ea), (sb, eb) = rows[a], rows[b]
+    (sa, ea), (sb, eb) = src.pattern.rows[a], src.pattern.rows[b]
     if not (ea < sb or eb < sa):
         return None
     pair = (1 << a) | (1 << b)
@@ -240,18 +238,16 @@ def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
                 return None
         elif mask & pair and mass < size:
             return None
-    touched = set(range(sa, ea + 1)) | set(range(sb, eb + 1))
-    kept_cols = [c for c in range(1, src.width + 1) if c not in touched]
+    kept = [(m, k) for m, k in zip(src.pattern.cover, src.exponents) if not m & pair]
     sub_rows = []
-    sub_exps = [src.exponents[c - 1] for c in kept_cols]
-    for r in range(d):
+    for r in range(src.depth):
         if r in (a, b):
             continue
-        lo, hi = rows[r]
-        mine = [i for i, c in enumerate(kept_cols) if lo <= c <= hi]
+        mine = [i for i, (m, _) in enumerate(kept, start=1) if m >> r & 1]
         if not mine:
             return None
-        sub_rows.append((mine[0] + 1, mine[-1] + 1))
+        sub_rows.append((mine[0], mine[-1]))
+    sub_exps = [k for _, k in kept]
     try:
         sub = build_term(sub_rows, sub_exps)
     except ZetaLatticeError:
@@ -292,6 +288,21 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
         if mass < need:
             return False
     return True
+
+
+def _comp_words(
+    sub: Term, inverse: bool, coefficient: Rat, **reduce_args
+) -> MZVCombination:
+    """The boundary constant of a compensated split as exact words: zeta(2)
+    stuffled with the reduction of the leftover kernel ``sub``, times the
+    split term's coefficient, negated for a forward split (an inverse split
+    books the corner with the opposite orientation)."""
+    scale = coefficient if inverse else -coefficient
+    words: MZVCombination = {}
+    for w, c in reduce_to_mzv(sub, **reduce_args).combination.items():
+        for sw, m in stuffle_words((2,), w).items():
+            comb_add(words, sw, scale * c * m)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +371,22 @@ def merge_step(
 # the driver
 
 
+def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[Term]:
+    """The terms of a reduction source: one term, an Expression, or any
+    iterable of terms."""
+    return (source,) if isinstance(source, Term) else source
+
+
 def reduce_to_mzv(
     source: Union[Term, Expression, Iterable[Term]],
     max_terms: int = 100_000,
     verify: bool = False,
     seed: int = 0,
-    lattice_bound: int = 6,
-    rational_points: int = 10,
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
     of the same weight.  With ``verify=True`` every recorded move is replayed
     through the exact per-step checks as it happens."""
-    pending = Expression()
-    if isinstance(source, Term):
-        pending.add(source)
-    elif isinstance(source, Expression):
-        pending.extend(source.terms())
-    else:
-        pending.extend(source)
+    pending = Expression(_source_terms(source))
     if not pending:
         return ReductionResult({}, ReductionTrace(), True, True)
     input_weight = pending.weight
@@ -390,9 +399,7 @@ def reduce_to_mzv(
         from . import numeric  # local import keeps layering one-way
 
         rng = random.Random(seed)
-        checker = lambda rec: numeric.check_record(
-            rec, rng=rng, lattice_bound=lattice_bound, points=rational_points
-        )
+        checker = lambda rec: numeric.check_record(rec, rng=rng)
 
     def recorder(rec: TraceRecord) -> None:
         trace.records.append(rec)
@@ -406,16 +413,15 @@ def reduce_to_mzv(
 
     def settle(terms: Iterable[Term]) -> None:
         for raw in terms:
-            ct = canonical_term(raw)
-            if ct.coefficient == 0:
+            if raw.coefficient == 0:
                 continue
-            key = term_key(ct)
+            key = term_key(raw)
             if key in parked:
-                c = parked.pop(key).coefficient + ct.coefficient
+                c = parked.pop(key).coefficient + raw.coefficient
                 if c != 0:
-                    pending.add(ct.with_coefficient(c))
+                    pending.add(raw.with_coefficient(c))
             else:
-                pending.add(ct)
+                pending.add(raw)
 
     combo: MZVCombination = {}
     while pending:
@@ -479,18 +485,14 @@ def reduce_to_mzv(
             words: MZVCombination = {}
             wparams = None
             if sub is not None:
-                sign = 1 if outs is not None else -1
-                subres = reduce_to_mzv(
+                words = _comp_words(
                     sub,
+                    inverse=outs is not None,
+                    coefficient=t.coefficient,
                     max_terms=max_terms,
                     verify=verify,
                     seed=seed,
-                    lattice_bound=lattice_bound,
-                    rational_points=rational_points,
                 )
-                for w, c in subres.combination.items():
-                    for sw, m in stuffle_words((2,), w).items():
-                        comb_add(words, sw, sign * t.coefficient * c * m)
                 wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
             if outs is not None:
                 params: dict = {"a": a, "b": b}
@@ -552,38 +554,22 @@ def trace_replay(
     source: Union[Term, Expression, Iterable[Term]], trace: ReductionTrace
 ) -> MZVCombination:
     """Re-apply a recorded trace to the input expression.  Every record
-    subtracts its input and adds its outputs (keyed by canonical term
-    identity); at the end the working state must be empty.  Returns the
-    rebuilt word combination."""
+    subtracts its input and adds its outputs in a ledger keyed by term_key,
+    which needs no canonical form (raw aux terms carry a zero-exponent column
+    even when dropping it would break a row interval); at the end the ledger
+    must be empty.  Returns the rebuilt word combination."""
     state: dict = {}
 
-    def series_key(t: Term):
-        # Like term_key, but a zero-exponent column is a factor of one and
-        # must not distinguish ledger entries (raw aux terms carry one even
-        # when dropping it would break a row interval).
-        order = sorted(range(t.depth), key=lambda r: t.pattern.rows[r])
-        merged: dict = {}
-        for c in range(1, t.width + 1):
-            vec = t.pattern.column_vector(c)
-            vec = tuple(vec[r] for r in order)
-            merged[vec] = merged.get(vec, 0) + t.exponents[c - 1]
-        items = tuple(sorted((v, k) for v, k in merged.items() if k))
-        return (t.depth, items)
-
     def bump(term: Term, sign: int) -> None:
-        k = series_key(term)
+        k = term_key(term)
         c = state.get(k, Rat(0)) + sign * term.coefficient
         if c == 0:
             state.pop(k, None)
         else:
             state[k] = c
 
-    if isinstance(source, Term):
-        bump(source, 1)
-    else:
-        terms = source.terms() if isinstance(source, Expression) else source
-        for t in terms:
-            bump(t, 1)
+    for t in _source_terms(source):
+        bump(t, 1)
 
     combo: MZVCombination = {}
     for rec in trace.records:

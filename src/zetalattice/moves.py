@@ -166,6 +166,16 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
     )
 
 
+def forward_split(rec: TraceRecord) -> tuple[Term, list[Term]]:
+    """A harmonic-split record as (the term split forward, its three
+    forward_hp outputs): an inverse_hp record t = out1 - out2 - out3 is
+    forward_hp(out1) = (t, -out2, -out3)."""
+    if rec.move == "forward_hp":
+        return rec.input, list(rec.outputs)
+    o1, o2, o3 = rec.outputs
+    return o1, [rec.input, o2.scaled(-1), o3.scaled(-1)]
+
+
 # ---------------------------------------------------------------------------
 # auxiliary column
 
@@ -198,13 +208,12 @@ def insert_aux_column(t: Term, i: int, j: int) -> tuple[Term, int]:
     exps = list(t.exponents)
     exps.insert(i - 1, 0)
     out = Term(Pattern(t.width + 1, tuple(rows)), tuple(exps), t.coefficient)
-    cover = {r for r in range(out.depth) if out.pattern.covers(r, i)}
-    expected = {
-        r for r, (s, e) in enumerate(t.pattern.rows) if s < i <= e
-    } | {extended}
-    if cover != expected:
+    straddling = t.pattern.cover[i - 1] & ~sum(1 << r for r in at_i)
+    expected = straddling | 1 << extended
+    if out.pattern.cover[i - 1] != expected:
         raise IntervalBroken(
-            f"aux column covered by rows {sorted(cover)}, expected {sorted(expected)}"
+            f"aux column covered by row mask {out.pattern.cover[i - 1]:b}, "
+            f"expected {expected:b}"
         )
     return out, i
 

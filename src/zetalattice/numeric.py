@@ -23,13 +23,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
-from .moves import TraceRecord
+from .moves import TraceRecord, forward_split
 from .terms import (
     MZVCombination,
     Rat,
@@ -42,6 +43,8 @@ from .terms import (
 
 DEPTH_CUTOFFS = {1: 1_000_000, 2: 3000, 3: 600}
 _CHUNK = 1 << 16
+LATTICE_BOUND = 6  # a harmonic split is checked on the box [1, 6]^depth
+RATIONAL_POINTS = 10  # random integer points per rational identity
 
 
 def default_cutoff(depth: int) -> int:
@@ -106,17 +109,17 @@ def _partial_sum(t: Term, N: int) -> float:
     d = t.depth
     r = max(range(d), key=lambda i: t.pattern.rows[i][0])
     others = [i for i in range(d) if i != r]
-    shifts: dict[frozenset, int] = {}  # shift row set -> exponent, columns in r
-    rest = []  # (covering rows, exponent), columns outside r
-    for c, k in enumerate(t.exponents, start=1):
-        rows = frozenset(i for i in range(d) if t.pattern.covers(i, c))
-        if r in rows:
-            shifts[rows - {r}] = shifts.get(rows - {r}, 0) + k
+    shifts: dict[int, int] = {}  # shift row mask -> exponent, columns in r
+    rest = []  # (covering row mask, exponent), columns outside r
+    for mask, k in zip(t.pattern.cover, t.exponents):
+        if mask >> r & 1:
+            shift = mask & ~(1 << r)
+            shifts[shift] = shifts.get(shift, 0) + k
         else:
-            rest.append((rows, k))
+            rest.append((mask, k))
     Ks = list(shifts.values())
 
-    top = N * (1 + max(len(s) for s in shifts))
+    top = N * (1 + max(bin(s).count("1") for s in shifts))
     inv = 1.0 / np.arange(1.0, top + 1.0)
     H = {
         j: np.concatenate(([0.0], np.cumsum(inv**j)))
@@ -128,7 +131,10 @@ def _partial_sum(t: Term, N: int) -> float:
     for lo in range(0, total, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, total))
         x = {i: idx // N**p % N + 1 for p, i in enumerate(others)}
-        sigma = [sum((x[i] for i in s), np.zeros_like(idx)) for s in shifts]
+        sigma = [
+            sum((x[i] for i in others if s >> i & 1), np.zeros_like(idx))
+            for s in shifts
+        ]
         ysum = np.zeros(len(idx))
         for g, (sg, Kg) in enumerate(zip(sigma, Ks)):
             # coef[m] = A_{g,Kg-m} = [u^m] prod_{h!=g} (sigma_h - sigma_g + u)^(-K_h)
@@ -147,8 +153,9 @@ def _partial_sum(t: Term, N: int) -> float:
                 ]
             for m, A in enumerate(coef):
                 ysum += A * (H[Kg - m][sg + N] - H[Kg - m][sg])
-        for rows, k in rest:
-            ysum *= np.power(sum(x[i] for i in rows).astype(float), float(-k))
+        for mask, k in rest:
+            form = sum(x[i] for i in others if mask >> i & 1)
+            ysum *= np.power(form.astype(float), float(-k))
         pieces.append(float(ysum.sum()))
     return float(t.coefficient) * math.fsum(pieces)
 
@@ -267,8 +274,8 @@ def _column_forms(t: Term) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(covering rows, exponent) for each column of nonzero exponent: the
     kernel's denominator is the product of (sum of those rows)^exponent."""
     return tuple(
-        (tuple(i for i, (lo, hi) in enumerate(t.pattern.rows) if lo <= c <= hi), k)
-        for c, k in enumerate(t.exponents, start=1)
+        (tuple(i for i in range(t.depth) if mask >> i & 1), k)
+        for mask, k in zip(t.pattern.cover, t.exponents)
         if k
     )
 
@@ -285,7 +292,7 @@ def _denominator(forms, x: Sequence[int]) -> int:
     return den
 
 
-def step_check_rational(rec: TraceRecord, rng, points: int = 10) -> None:
+def step_check_rational(rec: TraceRecord, rng) -> None:
     """Exact identity kernel(input) == sum of kernel(output) at random
     positive integer points of [1, 2^30]^depth.  A rational-function identity
     that holds on the positive integers holds everywhere, and a false one of
@@ -304,7 +311,7 @@ def step_check_rational(rec: TraceRecord, rng, points: int = 10) -> None:
     d = rec.input.depth
     terms = [rec.input, *rec.outputs]
     forms = [_column_forms(t) for t in terms]
-    for _ in range(points):
+    for _ in range(RATIONAL_POINTS):
         z = [rng.randint(1, 1 << 30) for _ in range(d)]
         lhs, *outs = (
             Rat(t.coefficient.numerator, t.coefficient.denominator * _denominator(f, z))
@@ -357,25 +364,19 @@ def _split_map(a: int, b: int, d: int, bound: int):
         yield x, idx, tuple(y)
 
 
-def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
-    """Exact check of a harmonic split on the truncated lattice [1,B]^d: the
-    three case substitutions must biject onto the three output lattices with
-    exact kernel equality point by point, compared as cross-multiplied
-    integers.  Inverse splits are checked through their forward
-    reformulation (first output as the split term)."""
+def step_check_lattice(rec: TraceRecord) -> None:
+    """Exact check of a harmonic split on the truncated lattice [1,B]^d,
+    B = LATTICE_BOUND: the three case substitutions must biject onto the
+    three output lattices with exact kernel equality point by point, compared
+    as cross-multiplied integers.  Inverse splits are checked through their
+    forward reformulation (first output as the split term)."""
     if rec.move not in ("forward_hp", "inverse_hp"):
         raise ValueError(f"no lattice check for move {rec.move!r}")
     if len(rec.outputs) != 3:
         raise CheckFailed(
             f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, expected 3"
         )
-    if rec.move == "forward_hp":
-        src = rec.input
-        outs = list(rec.outputs)
-    else:
-        o1, o2, o3 = rec.outputs
-        src = o1
-        outs = [rec.input, o2.scaled(-1), o3.scaled(-1)]
+    src, outs = forward_split(rec)
     a, b = rec.params["a"], rec.params["b"]
     d = src.depth
     depths = tuple(o.depth for o in outs)
@@ -384,7 +385,7 @@ def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
             f"{rec.move} of {rec.input}: split of a depth-{d} term has "
             f"depths {depths}, expected {(d, d, d - 1)}"
         )
-    _checked_split_map(a, b, d, bound)
+    _checked_split_map(a, b, d, LATTICE_BOUND)
     cs = src.coefficient
     src_forms = _column_forms(src)
     cases = [
@@ -396,7 +397,7 @@ def step_check_lattice(rec: TraceRecord, bound: int = 6) -> None:
         for o in outs
     ]
     # cs / D_src(x) == co / D_out(y), cross-multiplied into integers
-    for x, idx, y in _split_map(a, b, d, bound):
+    for x, idx, y in _split_map(a, b, d, LATTICE_BOUND):
         left, right, forms = cases[idx]
         if left * _denominator(forms, y) != right * _denominator(src_forms, x):
             lhs = Rat(cs.numerator, cs.denominator * _denominator(src_forms, x))
@@ -416,24 +417,19 @@ def check_comp_words(rec: TraceRecord) -> None:
     leftover kernel on the rows and columns the split pair does not touch,
     negatively oriented for a forward split of the record input, positively
     for an inverse split (whose forward source is the first output)."""
-    from .engine import _comp_subterm, reduce_to_mzv
-    from .terms import comb_add, stuffle_words
+    from .engine import _comp_subterm, _comp_words
+    from .terms import comb_add
 
-    a, b = rec.params["a"], rec.params["b"]
-    if rec.move == "forward_hp":
-        src, sign = rec.input, -1
-    else:
-        src, sign = rec.outputs[0], 1
-    sub = _comp_subterm(src, a, b)
+    src, _ = forward_split(rec)
+    sub = _comp_subterm(src, rec.params["a"], rec.params["b"])
     if sub is None:
         raise CheckFailed(
             f"compensated split of {rec.input} has no constant boundary"
         )
-    words: MZVCombination = {}
-    for w, c in reduce_to_mzv(sub).combination.items():
-        for sw, m in stuffle_words((2,), w).items():
-            comb_add(words, sw, sign * rec.input.coefficient * c * m)
-    recorded = {}
+    words = _comp_words(
+        sub, inverse=rec.move == "inverse_hp", coefficient=rec.input.coefficient
+    )
+    recorded: MZVCombination = {}
     for wl, cs in rec.params["comp_words"]:
         comb_add(recorded, tuple(wl), Rat(cs))
     if recorded != words:
@@ -443,33 +439,26 @@ def check_comp_words(rec: TraceRecord) -> None:
         )
 
 
-def check_record(
-    rec: TraceRecord, rng=None, lattice_bound: int = 6, points: int = 10
-) -> None:
-    """Dispatch one trace record to its appropriate exact check."""
+def check_record(rec: TraceRecord, rng) -> None:
+    """Dispatch one trace record to its appropriate exact check; ``rng``
+    draws the sample points of the rational checks."""
     if rec.move in ("pf_step", "insert_aux", "emit"):
-        if rng is None:
-            import random
-
-            rng = random.Random(0)
-        step_check_rational(rec, rng, points)
+        step_check_rational(rec, rng)
     elif rec.move in ("forward_hp", "inverse_hp"):
-        step_check_lattice(rec, lattice_bound)
+        step_check_lattice(rec)
         if rec.params.get("comp_words") is not None:
             check_comp_words(rec)
     else:
         raise ValueError(f"unknown move {rec.move!r}")
 
 
-def verify_trace(records, seed: int = 0, lattice_bound: int = 6, points: int = 10) -> int:
+def verify_trace(records, seed: int = 0) -> int:
     """Run every record of a trace (or iterable of records) through its
     exact check.  Returns the number of records checked."""
-    import random
-
     rng = random.Random(seed)
     recs = getattr(records, "records", records)
     count = 0
     for rec in recs:
-        check_record(rec, rng, lattice_bound, points)
+        check_record(rec, rng)
         count += 1
     return count

@@ -77,15 +77,11 @@ class CubicalIntegrand:
 
 def cubical_integrand(t: Term) -> CubicalIntegrand:
     pat = expand(t)
-    coverage = [0] * pat.width
-    for a, b in pat.rows:
-        for c in range(a, b + 1):
-            coverage[c - 1] += 1
-    assert all(m >= 1 for m in coverage)
+    assert all(pat.cover)
     return CubicalIntegrand(
         pat.width,
         pat.rows,
-        tuple(m - 1 for m in coverage),
+        tuple(bin(mask).count("1") - 1 for mask in pat.cover),
         t.coefficient,
     )
 
@@ -151,7 +147,10 @@ def _ts_value(ci: CubicalIntegrand, count: int) -> float:
 
 def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     """Evaluate a convergent term through its cube integral.  The error
-    estimate compares against the same rule at half the node count."""
+    estimate compares against the same rule at half the node count; the
+    reported cutoff is the node count the rule actually used.  Below 8 nodes
+    both rules are the same 7-point rule, so there is no estimate and the
+    error is reported as infinite."""
     if nodes is not None and nodes < 1:
         raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):
@@ -162,13 +161,16 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     ci = cubical_integrand(t)
     if nodes is None:
         nodes = DEFAULT_NODE_COUNTS.get(ci.width, 21)
+    used = len(tanh_sinh_nodes(nodes)[0])
     coarse_nodes = max(7, (nodes // 2) | 1)
     fine = _ts_value(ci, nodes)
-    coarse = _ts_value(ci, coarse_nodes)
     c = float(t.coefficient)
     value = c * fine
+    if len(tanh_sinh_nodes(coarse_nodes)[0]) == used:
+        return EvalReport(value, used, True, float("inf"))
+    coarse = _ts_value(ci, coarse_nodes)
     err = abs(c) * abs(fine - coarse) + 1e-12 * (1.0 + abs(value))
-    return EvalReport(value, nodes, True, err)
+    return EvalReport(value, used, True, err)
 
 
 # ---------------------------------------------------------------------------

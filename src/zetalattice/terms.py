@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -60,13 +61,24 @@ class Pattern:
     def depth(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def cover(self) -> tuple[int, ...]:
+        """Bit r of cover[c - 1] is set iff row r (0-based) covers the
+        1-based column c: L_c sums the variables of those rows.  Computed
+        once per pattern; every reader of column covers reads this tuple."""
+        masks = [0] * self.width
+        for r, (a, b) in enumerate(self.rows):
+            for c in range(a - 1, b):
+                masks[c] |= 1 << r
+        return tuple(masks)
+
     def covers(self, row: int, col: int) -> bool:
-        a, b = self.rows[row]
-        return a <= col <= b
+        return bool(self.cover[col - 1] >> row & 1)
 
     def column_vector(self, col: int) -> tuple[int, ...]:
         """0/1 flags over the rows, for the 1-based column ``col``."""
-        return tuple(1 if self.covers(i, col) else 0 for i in range(self.depth))
+        mask = self.cover[col - 1]
+        return tuple(mask >> r & 1 for r in range(self.depth))
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column_vector(c) for c in range(1, self.width + 1)]
@@ -91,8 +103,8 @@ def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
             raise MalformedInterval(f"row ({a},{b}) out of bounds for width {width}")
         rr.append((a, b))
     pat = Pattern(width, tuple(rr))
-    for c in range(1, width + 1):
-        if all(not pat.covers(i, c) for i in range(pat.depth)):
+    for c, mask in enumerate(pat.cover, start=1):
+        if not mask:
             raise ZeroColumn(c)
     if linalg.rank(pat.columns()) != pat.depth:
         raise RankDeficient(f"rows {rr} are linearly dependent")
@@ -166,69 +178,45 @@ def _as_rat(x) -> Rat:
 
 # Two columns are mergeable iff they are covered by the same set of rows; any
 # row straddling the gap between two such copies would have to cover both, so
-# pulling the later copy next to the earlier one keeps every row contiguous.
+# pulling every later copy next to the first one keeps every row contiguous.
 
 
 def canonical_term(t: Term) -> Term:
-    """Sort rows by (start, end), merge duplicate columns into exponents,
-    keep the surviving column order as the interval-structure witness."""
-    order = sorted(range(t.depth), key=lambda i: t.pattern.rows[i])
-    rows = [t.pattern.rows[i] for i in order]
-    pat = Pattern(t.width, tuple(rows))
-    cover = [
-        frozenset(i for i in range(pat.depth) if pat.covers(i, c))
-        for c in range(1, pat.width + 1)
-    ]
-    exps = list(t.exponents)
-    cols = list(range(pat.width))  # permutation of original 0-based positions
-
-    merged = True
-    while merged:
-        merged = False
-        for p in range(len(cols)):
-            for q in range(p + 1, len(cols)):
-                if cover[cols[p]] != cover[cols[q]]:
-                    continue
-                if q == p + 1:
-                    exps[cols[p]] += exps[cols[q]]
-                    del cols[q]
-                else:
-                    cols.insert(p + 1, cols.pop(q))
-                merged = True
-                break
-            if merged:
-                break
-
-    new_exps = tuple(exps[c] for c in cols)
+    """Sort rows by (start, end) and merge the columns of equal cover: in
+    one pass, columns are grouped by cover in order of first appearance and
+    each group's exponents summed.  The surviving column order is the
+    interval-structure witness.  Raises IntervalBroken when a group's
+    exponent is zero or a row stops being contiguous."""
+    pat = Pattern(t.width, tuple(sorted(t.pattern.rows)))
+    merged: dict[int, int] = {}
+    for mask, k in zip(pat.cover, t.exponents):
+        merged[mask] = merged.get(mask, 0) + k
+    new_exps = tuple(merged.values())
     if any(k < 1 for k in new_exps):
         raise IntervalBroken("zero-exponent column survived canonicalization")
     new_rows = []
     for i in range(pat.depth):
-        pos = [j + 1 for j, c in enumerate(cols) if i in cover[c]]
-        if not pos or pos != list(range(pos[0], pos[-1] + 1)):
+        pos = [j for j, mask in enumerate(merged, start=1) if mask >> i & 1]
+        if not pos or pos[-1] - pos[0] + 1 != len(pos):
             raise IntervalBroken(f"row {i} lost contiguity during column merge")
         new_rows.append((pos[0], pos[-1]))
-    return Term(Pattern(len(cols), tuple(new_rows)), new_exps, t.coefficient)
+    return Term(Pattern(len(new_exps), tuple(new_rows)), new_exps, t.coefficient)
 
 
 def term_key(t: Term):
-    """Canonical identity of a term's kernel: the sorted multiset of
-    (column vector over sorted rows, total exponent).  Coefficient excluded."""
-    ct = t if _is_sorted(t) else canonical_term(t)
-    pairs = sorted(zip(ct.pattern.columns(), ct.exponents))
-    return (ct.depth, tuple(pairs))
-
-
-def _is_sorted(t: Term) -> bool:
+    """Identity of a term's kernel, coefficient excluded: the sorted
+    (column vector over rows sorted by (start, end), total exponent) pairs,
+    equal vectors merged and zero-exponent columns ignored (L^0 = 1).  Needs
+    no canonical form, and equals term_key(canonical_term(t)) if that exists."""
     rows = t.pattern.rows
-    if any(rows[i] > rows[i + 1] for i in range(len(rows) - 1)):
-        return False
-    seen = set()
-    for v in t.pattern.columns():
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    order = sorted(range(t.depth), key=rows.__getitem__)
+    merged: dict[int, int] = {}
+    for mask, k in zip(t.pattern.cover, t.exponents):
+        merged[mask] = merged.get(mask, 0) + k
+    pairs = sorted(
+        (tuple(mask >> r & 1 for r in order), k) for mask, k in merged.items() if k
+    )
+    return (t.depth, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +240,8 @@ def subset_masses(t: Term) -> Iterator[tuple[int, int, int]]:
     of mask marks row r (0-based) and K(S) is the total exponent of the
     columns covered by S.  Convergence and the engine's split-boundary tests
     all read this scan; it is lazy, so a test that fails early stops early."""
-    rows = t.pattern.rows
-    cover = [
-        sum(1 << r for r, (a, b) in enumerate(rows) if a <= c <= b)
-        for c in range(1, t.width + 1)
-    ]
-    d = len(rows)
-    for mask in range(1, 1 << d):
+    cover = t.pattern.cover
+    for mask in range(1, 1 << t.depth):
         mass = sum(k for m, k in zip(cover, t.exponents) if m & mask)
         yield mask, bin(mask).count("1"), mass
 
@@ -304,12 +287,11 @@ def kernel_at(t: Term, point: Sequence[Rat]) -> Rat:
     if len(point) != t.depth:
         raise ValueError(f"point has {len(point)} entries for depth {t.depth}")
     val = Rat(t.coefficient)
-    for c in range(1, t.width + 1):
+    for mask, k in zip(t.pattern.cover, t.exponents):
         form = sum(
-            (point[i] for i in range(t.depth) if t.pattern.covers(i, c)),
-            start=Rat(0),
+            (point[i] for i in range(t.depth) if mask >> i & 1), start=Rat(0)
         )
-        val /= form ** t.exponents[c - 1]
+        val /= form**k
     return val
 
 
@@ -352,9 +334,8 @@ def to_mzv(t: Term) -> tuple[Word, Rat]:
         raise NotChain(str(t))
     d = t.depth
     word = [0] * d
-    for c in range(1, t.width + 1):
-        covering = sum(1 for i in range(d) if t.pattern.covers(i, c))
-        word[d - covering] += t.exponents[c - 1]
+    for mask, k in zip(t.pattern.cover, t.exponents):
+        word[d - bin(mask).count("1")] += k
     assert all(k >= 1 for k in word)
     return tuple(word), t.coefficient
 
@@ -409,20 +390,12 @@ class Expression:
             else:
                 self._terms[key] = old.with_coefficient(c)
 
-    def extend(self, terms: Iterable[Term]) -> None:
-        for t in terms:
-            self.add(t)
-
     def terms(self) -> list[Term]:
         return [self._terms[k] for k in sorted(self._terms)]
 
     def pop_smallest(self) -> Term:
         key = min(self._terms)
         return self._terms.pop(key)
-
-    def coefficient_of(self, t: Term) -> Rat:
-        got = self._terms.get(term_key(t))
-        return got.coefficient if got is not None else Rat(0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -432,13 +405,6 @@ class Expression:
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return {k: t.coefficient for k, t in self._terms.items()} == {
-            k: t.coefficient for k, t in other._terms.items()
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,18 @@ def test_integral_recovers_zeta2():
     assert abs(rep.value - math.pi**2 / 6) < 1e-4
 
 
+def test_integral_reports_its_real_rule_and_no_estimate_it_lacks():
+    zeta2 = term([(1, 1)], [2])
+    for nodes, used in ((3, 7), (7, 7), (8, 9)):
+        rep = integral_eval(zeta2, nodes)
+        assert rep.cutoff == used == len(tanh_sinh_nodes(nodes)[0])
+        if used == 7:
+            # the coarse rule is the same 7-point rule: nothing to compare
+            assert rep.estimated_error == math.inf
+        else:
+            assert abs(rep.value - math.pi**2 / 6) < rep.estimated_error < 0.1
+
+
 def test_integral_agrees_with_the_series():
     for rows, exps in [
         ([(1, 2)], [1, 1]),

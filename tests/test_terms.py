@@ -4,13 +4,17 @@ from fractions import Fraction as Rat
 import pytest
 
 import zetalattice as zl
+from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import (
+    IntervalBroken,
     MalformedInterval,
     NotChain,
     RankDeficient,
     ZeroColumn,
 )
 from zetalattice.terms import (
+    Pattern,
+    Term,
     canonical_term,
     converges,
     direct_sum,
@@ -78,6 +82,98 @@ def test_term_key_ignores_presentation():
     a = term([(1, 2), (2, 3)], [1, 1, 1])
     b = term([(2, 3), (1, 2)], [1, 1, 1])
     assert term_key(canonical_term(a)) == term_key(canonical_term(b))
+
+
+def test_cover_lists_the_rows_of_each_column():
+    pat = Pattern(5, ((2, 4), (1, 3), (4, 5), (3, 3)))
+    assert pat.cover == (0b0010, 0b0011, 0b1011, 0b0101, 0b0100)
+    for c in range(1, pat.width + 1):
+        want = [int(a <= c <= b) for a, b in pat.rows]
+        assert list(pat.column_vector(c)) == want
+        assert [pat.covers(r, c) for r in range(pat.depth)] == [bool(x) for x in want]
+    assert pat.columns() == [pat.column_vector(c) for c in range(1, 6)]
+
+
+def bubble_canonical(t):
+    """The former canonical form: sort rows, then repeatedly pull the first
+    later copy of a column's cover next to it and merge adjacent copies."""
+    rows = sorted(t.pattern.rows)
+    cover = [
+        frozenset(i for i, (a, b) in enumerate(rows) if a <= c <= b)
+        for c in range(1, t.width + 1)
+    ]
+    exps = list(t.exponents)
+    cols = list(range(t.width))
+    merged = True
+    while merged:
+        merged = False
+        for p in range(len(cols)):
+            for q in range(p + 1, len(cols)):
+                if cover[cols[p]] != cover[cols[q]]:
+                    continue
+                if q == p + 1:
+                    exps[cols[p]] += exps[cols[q]]
+                    del cols[q]
+                else:
+                    cols.insert(p + 1, cols.pop(q))
+                merged = True
+                break
+            if merged:
+                break
+    new_exps = tuple(exps[c] for c in cols)
+    if any(k < 1 for k in new_exps):
+        raise IntervalBroken("zero-exponent column")
+    new_rows = []
+    for i in range(len(rows)):
+        pos = [j + 1 for j, c in enumerate(cols) if i in cover[c]]
+        if not pos or pos != list(range(pos[0], pos[-1] + 1)):
+            raise IntervalBroken(f"row {i} lost contiguity")
+        new_rows.append((pos[0], pos[-1]))
+    return Term(Pattern(len(cols), tuple(new_rows)), new_exps, t.coefficient)
+
+
+@pytest.fixture(scope="module")
+def record_terms(corpus200):
+    """Inputs and raw outputs of every record of the first 20 corpus
+    reductions."""
+    terms = []
+    for t in corpus200[:20]:
+        for rec in reduce_to_mzv(t).trace.records:
+            terms += [rec.input, *rec.outputs]
+    return terms
+
+
+def outcome(canon, t):
+    try:
+        return canon(t)
+    except IntervalBroken:
+        return "IntervalBroken"
+
+
+def test_canonical_term_matches_the_bubble_merge(record_terms):
+    broken = 0
+    for t in record_terms:
+        got = outcome(canonical_term, t)
+        assert got == outcome(bubble_canonical, t), t
+        broken += got == "IntervalBroken"
+    assert 0 < broken < len(record_terms)
+
+
+def test_term_key_needs_no_canonical_form(record_terms):
+    for t in record_terms:
+        ct = outcome(canonical_term, t)
+        if ct != "IntervalBroken":
+            assert term_key(t) == term_key(ct), t
+
+
+def test_term_key_ignores_zero_exponent_columns(record_terms):
+    aux = [t for t in record_terms if 0 in t.exponents]
+    assert aux
+    for t in aux:
+        depth, pairs = term_key(t)
+        assert depth == t.depth
+        assert len(pairs) < t.width and all(k > 0 for _, k in pairs)
+        assert sum(k for _, k in pairs) == t.weight
 
 
 def test_expand_unfolds_exponents_to_unit_columns():
