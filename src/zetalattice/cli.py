@@ -61,7 +61,7 @@ def _read_term(source: str):
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _write_trace(path: str, trace: engine.ReductionTrace) -> None:

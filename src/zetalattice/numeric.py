@@ -6,8 +6,10 @@ Two kinds of checks live here, at different levels of trust:
   [1, N]^depth, extrapolated in the cutoff, against the evaluated word
   combination the engine produced.  One row variable is summed over [1, N] in
   closed form (partial fractions in that variable, then cumulative
-  generalized-harmonic tables), so a partial sum costs O(N^(depth-1)).
-  Approximate, tolerance-based.
+  generalized-harmonic tables), so a partial sum costs O(N^(depth-1)).  The
+  other rows span a broadcast integer grid swept in slabs, and one sweep of
+  the largest box gives the partial sums at every extrapolation cutoff: the
+  smaller boxes are slices of the same slabs.  Approximate, tolerance-based.
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
   (partial fractions, auxiliary columns) or as an explicit bijection between
@@ -59,11 +61,14 @@ class EvalReport:
     estimated_error: float
 
     def to_json(self) -> dict:
+        """JSON has no infinity: a missing error estimate is null."""
         return {
             "value": self.value,
             "cutoff": self.cutoff,
             "extrapolated": self.extrapolated,
-            "estimated_error": self.estimated_error,
+            "estimated_error": (
+                self.estimated_error if math.isfinite(self.estimated_error) else None
+            ),
         }
 
 
@@ -102,10 +107,14 @@ def _extrapolate(ns: Sequence[int], vals: Sequence[float]) -> tuple[float, float
 # one n_i >= 1, and the partial fractions never meet a repeated pole.
 
 
-def _partial_sum(t: Term, N: int) -> float:
-    """coefficient * sum over n in [1, N]^depth of the kernel, in
-    O(N^(depth-1)) work; the other rows are enumerated _CHUNK points at a
-    time."""
+def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
+    """coefficient * sum over n in [1, M]^depth of the kernel, for every
+    cutoff M in ns, from one sweep of the largest box in O(N^(depth-1))
+    work.  The other rows are the axes of a broadcast integer grid, cut into
+    slabs of about _CHUNK points along the first axis; the shifts, the
+    partial-fraction coefficients and the factors of the columns outside the
+    summed row are computed once per slab, and the box of each smaller cutoff
+    is a slice of that slab."""
     d = t.depth
     r = max(range(d), key=lambda i: t.pattern.rows[i][0])
     others = [i for i in range(d) if i != r]
@@ -119,6 +128,7 @@ def _partial_sum(t: Term, N: int) -> float:
             rest.append((mask, k))
     Ks = list(shifts.values())
 
+    N = max(ns)
     top = N * (1 + max(bin(s).count("1") for s in shifts))
     inv = 1.0 / np.arange(1.0, top + 1.0)
     H = {
@@ -126,19 +136,24 @@ def _partial_sum(t: Term, N: int) -> float:
         for j in range(1, max(Ks) + 1)
     }
 
-    total = N ** (d - 1)
-    pieces = []
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total))
-        x = {i: idx // N**p % N + 1 for p, i in enumerate(others)}
+    step = max(1, _CHUNK // N ** max(d - 2, 0))
+    unit = (1,) * (d - 1)
+    pieces: list[list[float]] = [[] for _ in ns]
+    for lo in range(0, N if d > 1 else 1, step):  # depth 1: one slab, no axes
+        hi = min(lo + step, N)
+        # x[i]: the values of row i, laid along its own axis of the slab
+        x = {}
+        for p, i in enumerate(others):
+            axis = np.arange(lo + 1, hi + 1) if p == 0 else np.arange(1, N + 1)
+            x[i] = axis.reshape(unit[:p] + (-1,) + unit[p + 1 :])
         sigma = [
-            sum((x[i] for i in others if s >> i & 1), np.zeros_like(idx))
+            sum((x[i] for i in others if s >> i & 1), np.zeros(unit, dtype=int))
             for s in shifts
         ]
-        ysum = np.zeros(len(idx))
+        coefs = []
         for g, (sg, Kg) in enumerate(zip(sigma, Ks)):
             # coef[m] = A_{g,Kg-m} = [u^m] prod_{h!=g} (sigma_h - sigma_g + u)^(-K_h)
-            coef = [np.ones(len(idx))] + [np.zeros(len(idx))] * (Kg - 1)
+            coef = [np.ones(unit)] + [np.zeros(unit)] * (Kg - 1)
             for h, (sh, Kh) in enumerate(zip(sigma, Ks)):
                 if h == g:
                     continue
@@ -151,13 +166,22 @@ def _partial_sum(t: Term, N: int) -> float:
                     sum(coef[a] * series[m - a] for a in range(m + 1))
                     for m in range(Kg)
                 ]
-            for m, A in enumerate(coef):
-                ysum += A * (H[Kg - m][sg + N] - H[Kg - m][sg])
+            coefs.append(coef)
+        factor = np.ones(tuple(hi - lo if p == 0 else N for p in range(d - 1)))
         for mask, k in rest:
             form = sum(x[i] for i in others if mask >> i & 1)
-            ysum *= np.power(form.astype(float), float(-k))
-        pieces.append(float(ysum.sum()))
-    return float(t.coefficient) * math.fsum(pieces)
+            factor = factor * np.power(form.astype(float), float(-k))
+        for cut, n in enumerate(ns):
+            if lo >= n:
+                continue  # the slab starts past this cutoff
+            box = tuple(slice(0, n - lo if p == 0 else n) for p in range(d - 1))
+            ysum = np.zeros(factor[box].shape)
+            for sg, Kg, coef in zip(sigma, Ks, coefs):
+                sb = sg[box]
+                for m, A in enumerate(coef):
+                    ysum += A[box] * (H[Kg - m][sb + n] - H[Kg - m][sb])
+            pieces[cut].append(float((ysum * factor[box]).sum()))
+    return [float(t.coefficient) * math.fsum(part) for part in pieces]
 
 
 def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
@@ -172,10 +196,10 @@ def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
     if N is None:
         N = default_cutoff(t.depth)
     if N < 16:
-        v = _partial_sum(t, N)
+        v = _partial_sums(t, [N])[0]
         return EvalReport(v, N, False, float("inf"))
     ns = [N // 8, N // 4, N // 2, N] if N >= 128 else [N // 4, N // 2, N]
-    vals = [_partial_sum(t, n) for n in ns]
+    vals = _partial_sums(t, ns)
     value, err = _extrapolate(ns, vals)
     return EvalReport(value, N, True, err)
 

@@ -7,9 +7,12 @@ expanded matrix turns a term's series into an integral over the unit cube:
 
 where P_j is the product of the x variables covered by row j and the measure
 exponent m_c (coverage count minus one) is nonnegative, so the integrand is
-finite inside the cube.  ``integral_eval`` computes this with a tensorized
-tanh-sinh rule; it is a second, structurally different numeric oracle next to
-the direct partial sums.
+finite inside the cube.  ``integral_eval`` computes this with the tanh-sinh
+rule in every variable, contracted with ``np.einsum`` as a product of row
+tables: each factor 1/(1 - P_j) is tabulated on its own row's variables, one
+node of the first variable at a time, so with n nodes and W variables no table
+holds more than n^(W-1) entries.  It is a second, structurally different
+numeric oracle next to the direct partial sums.
 
 The same data also carries a rational differential form
 
@@ -103,45 +106,47 @@ def tanh_sinh_nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, wts, one_minus
 
 
-def _ts_value(ci: CubicalIntegrand, count: int) -> float:
-    """Tensor tanh-sinh integral of the integrand, coefficient excluded.
-    Stable at the P -> 1 faces: 1 - P is computed as -expm1(sum of log x)."""
-    W = ci.width
-    x, wts, omx = tanh_sinh_nodes(count)
-    n = len(x)
+def _ts_value(
+    ci: CubicalIntegrand, rule: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> float:
+    """Tanh-sinh integral of the integrand, coefficient excluded, with the
+    nodes of ``rule`` (from ``tanh_sinh_nodes``) in every variable.  Each row
+    factor 1/(1 - P) is tabulated on the row's own variables, 1 - P computed
+    as -expm1(sum of log x) so it stays accurate at the P -> 1 faces.  The
+    tables are contracted with the per-variable weights by np.einsum one node
+    of the first variable at a time, so no table has more than n^(W-1)
+    entries; rows that miss the first variable are tabulated once."""
+    x, wts, omx = rule
     lx = np.log1p(-omx)
-    xm = [x ** float(m) for m in ci.measure_exponents]
+    vec = [wts * x ** float(m) for m in ci.measure_exponents]
 
-    if W == 1:
-        vals = np.ones(n)
-        for a, b in ci.rows:  # single row (1,1)
-            vals = vals / (-np.expm1(lx))
-        return float(np.sum(wts * xm[0] * vals))
+    def row_table(log_start, count: int) -> np.ndarray:
+        # 1/(1 - P) over `count` more variables, log P summed left to right
+        S = log_start
+        for _ in range(count):
+            S = np.add.outer(S, lx)
+        return 1.0 / -np.expm1(S)
 
-    X = lx[:, None]
-    Y = lx[None, :]
-    WXY = wts[:, None] * wts[None, :]
-    MX = xm[W - 2][:, None]
-    MY = xm[W - 1][None, :]
+    def axes(first: int, last: int) -> str:
+        # einsum letters of the variables first..last (1-based, like rows)
+        return "".join(chr(ord("a") + c - 1) for c in range(first, last + 1))
+
+    fixed = [(row_table(0.0, b - a + 1), axes(a, b)) for a, b in ci.rows if a > 1]
+    walked = [b for a, b in ci.rows if a == 1]
+    subscripts = ",".join(
+        [axes(c, c) for c in range(2, ci.width + 1)]
+        + [sub for _, sub in fixed]
+        + [axes(2, b) for b in walked]
+    ) + "->"
+    tables = vec[1:] + [table for table, _ in fixed]
+    path = None
     pieces = []
-    for prefix in itertools.product(range(n), repeat=W - 2):
-        wpre = 1.0
-        mpre = 1.0
-        for c, idx in enumerate(prefix):
-            wpre *= wts[idx]
-            mpre *= xm[c][idx]
-        block = np.ones((n, n))
-        for a, b in ci.rows:
-            S = 0.0
-            for c in range(a, b + 1):
-                if c - 1 < W - 2:
-                    S += lx[prefix[c - 1]]
-            if a <= W - 1 <= b:
-                S = S + X
-            if a <= W <= b:
-                S = S + Y
-            block = block / (-np.expm1(S))
-        pieces.append(wpre * mpre * float(np.sum(WXY * MX * MY * block)))
+    for i in range(len(x)):
+        operands = tables + [row_table(lx[i], b - 1) for b in walked]
+        if path is None:
+            path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        inner = np.einsum(subscripts, *operands, optimize=path)
+        pieces.append(vec[0][i] * float(inner))
     return math.fsum(pieces)
 
 
@@ -161,14 +166,15 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     ci = cubical_integrand(t)
     if nodes is None:
         nodes = DEFAULT_NODE_COUNTS.get(ci.width, 21)
-    used = len(tanh_sinh_nodes(nodes)[0])
-    coarse_nodes = max(7, (nodes // 2) | 1)
-    fine = _ts_value(ci, nodes)
+    rule = tanh_sinh_nodes(nodes)
+    coarse_rule = tanh_sinh_nodes(max(7, (nodes // 2) | 1))
+    used = len(rule[0])
+    fine = _ts_value(ci, rule)
     c = float(t.coefficient)
     value = c * fine
-    if len(tanh_sinh_nodes(coarse_nodes)[0]) == used:
+    if len(coarse_rule[0]) == used:
         return EvalReport(value, used, True, float("inf"))
-    coarse = _ts_value(ci, coarse_nodes)
+    coarse = _ts_value(ci, coarse_rule)
     err = abs(c) * abs(fine - coarse) + 1e-12 * (1.0 + abs(value))
     return EvalReport(value, used, True, err)
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from zetalattice import cli
+
 TORNHEIM = '{"rows": [[1,2],[2,3]], "exponents": [1,1,1]}'
 
 
@@ -104,3 +106,15 @@ def test_integral_forest_selftest():
     assert out["identity_checked"] is True
     out = json.loads(run_cli("selftest").stdout)
     assert out["passed"] is True and out["checks"] >= 20
+
+
+def test_missing_error_estimates_print_as_strict_json(capsys):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    zeta2 = '{"rows": [[1,1]], "exponents": [2]}'
+    # an unextrapolated sum (N < 16) and a 7-node rule have no error estimate
+    for args in (("eval", zeta2, "--N", "5"), ("integral", zeta2, "--nodes", "3")):
+        assert cli.main(list(args)) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["estimated_error"] is None, args

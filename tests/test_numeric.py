@@ -10,7 +10,7 @@ from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
 from zetalattice.moves import TraceRecord
 from zetalattice.numeric import (
-    _partial_sum,
+    _partial_sums,
     check_comp_words,
     check_record,
     check_reduction,
@@ -72,12 +72,38 @@ def test_eval_term_depth_three_default_cutoff():
     ],
 )
 def test_partial_sum_matches_the_exact_box_sum(t, N):
-    exact = sum(
-        (kernel_at(t, [Rat(v) for v in n])
-         for n in itertools.product(range(1, N + 1), repeat=t.depth)),
-        start=Rat(0),
-    )
-    assert abs(_partial_sum(t, N) - float(exact)) <= 1e-10 * abs(float(exact))
+    ns = [n for n in (1, 2, 3, 5, 7) if n <= N]
+    for n, exact, got in zip(ns, exact_box_sums(t, ns), _partial_sums(t, ns)):
+        assert abs(got - float(exact)) <= 1e-10 * abs(float(exact)), n
+
+
+def exact_box_sums(t, ns):
+    """The exact sum of the kernel over [1, n]^depth for each n in ns."""
+    sums = [Rat(0)] * len(ns)
+    for point in itertools.product(range(1, max(ns) + 1), repeat=t.depth):
+        value = kernel_at(t, [Rat(v) for v in point])
+        for k, n in enumerate(ns):
+            if max(point) <= n:
+                sums[k] += value
+    return sums
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        term([(1, 1)], [3]),
+        term([(1, 2), (2, 3)], [1, 1, 1]),
+        term([(1, 2), (1, 3), (2, 3)], [1, 4, 2], "-7/3"),
+        term([(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 1, 1, 3], "5/2"),
+    ],
+)
+def test_partial_sums_span_several_slabs(t, monkeypatch):
+    # three points per slab: every box of depth >= 2 spans several slabs, and
+    # the smaller cutoffs skip the slabs that start past them
+    monkeypatch.setattr(numeric, "_CHUNK", 3)
+    ns = [2, 3, 5, 7]
+    for n, exact, got in zip(ns, exact_box_sums(t, ns), _partial_sums(t, ns)):
+        assert abs(got - float(exact)) <= 1e-10 * abs(float(exact)), n
 
 
 def test_divergent_inputs_are_refused():

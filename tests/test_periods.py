@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Rat
 
+import numpy as np
 import pytest
 
 from zetalattice.errors import CycleDetected, DivergentSeries
 from zetalattice.numeric import eval_term
 from zetalattice.periods import (
+    CubicalIntegrand,
+    _ts_value,
     cubical_integrand,
     forest_expand,
     integral_eval,
@@ -56,6 +61,84 @@ def test_integral_agrees_with_the_series():
         gap = abs(lhs.value - rhs.value)
         bar = 5 * (lhs.estimated_error + rhs.estimated_error) + 1e-6
         assert gap < bar, (t, gap, bar)
+
+
+def prefix_loop_ts_value(ci, count):
+    """The former tensor rule, kept as a reference: a Python loop over the
+    nodes of all but the last two variables, an n x n block for those two."""
+    W = ci.width
+    x, wts, omx = tanh_sinh_nodes(count)
+    n = len(x)
+    lx = np.log1p(-omx)
+    xm = [x ** float(m) for m in ci.measure_exponents]
+
+    if W == 1:
+        vals = np.ones(n)
+        for a, b in ci.rows:
+            vals = vals / (-np.expm1(lx))
+        return float(np.sum(wts * xm[0] * vals))
+
+    X = lx[:, None]
+    Y = lx[None, :]
+    WXY = wts[:, None] * wts[None, :]
+    MX = xm[W - 2][:, None]
+    MY = xm[W - 1][None, :]
+    pieces = []
+    for prefix in itertools.product(range(n), repeat=W - 2):
+        wpre = 1.0
+        mpre = 1.0
+        for c, idx in enumerate(prefix):
+            wpre *= wts[idx]
+            mpre *= xm[c][idx]
+        block = np.ones((n, n))
+        for a, b in ci.rows:
+            S = 0.0
+            for c in range(a, b + 1):
+                if c - 1 < W - 2:
+                    S += lx[prefix[c - 1]]
+            if a <= W - 1 <= b:
+                S = S + X
+            if a <= W <= b:
+                S = S + Y
+            block = block / (-np.expm1(S))
+        pieces.append(wpre * mpre * float(np.sum(WXY * MX * MY * block)))
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize(
+    "width, rows",
+    [
+        (1, ((1, 1),)),
+        (2, ((1, 2),)),
+        (2, ((1, 1), (1, 2))),
+        (3, ((1, 2), (2, 3))),
+        (3, ((2, 2), (1, 3))),
+        (4, ((1, 1), (1, 3), (2, 4))),  # a row (1,1) inside a wider pattern
+        (4, ((1, 2), (3, 4))),  # disjoint rows
+        (4, ((1, 4), (2, 4))),
+        (5, ((1, 5), (2, 3), (4, 5))),  # a full-width row
+        (5, ((1, 2), (2, 4), (3, 5))),
+    ],
+)
+def test_contracted_rule_matches_the_prefix_loop(width, rows):
+    coverage = [sum(a <= c <= b for a, b in rows) for c in range(1, width + 1)]
+    ci = CubicalIntegrand(width, rows, tuple(k - 1 for k in coverage), Rat(1))
+    for count in (7, 9, 21):
+        want = prefix_loop_ts_value(ci, count)
+        got = _ts_value(ci, tanh_sinh_nodes(count))
+        assert abs(got - want) <= 1e-13 * abs(want), (count, got, want)
+
+
+def test_integral_tables_stay_below_a_full_tensor():
+    # one n^(W-1) table is 0.9 MB at 49 nodes; the full 49^4 tensor is 46 MB
+    tracemalloc.start()
+    try:
+        rep = integral_eval(term([(1, 4), (2, 4)], [1, 1, 1, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cutoff == 49
+    assert peak < 8e6, peak
 
 
 def test_integral_refuses_divergent_terms():
