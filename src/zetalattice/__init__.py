@@ -46,7 +46,6 @@ from .terms import (
     from_mzv,
     is_admissible,
     is_chain,
-    is_staircase,
     kernel_at,
     parse_term,
     parse_word,
@@ -85,7 +84,6 @@ from .numeric import (
     eval_term,
     step_check_lattice,
     step_check_rational,
-    verify_trace,
 )
 from .periods import (
     CubicalIntegrand,
@@ -111,7 +109,7 @@ __all__ = [
     "Expression", "MZVCombination", "Pattern", "Rat", "Term", "Word",
     "canonical_term", "comb_add",
     "combination_to_json", "converges", "direct_sum", "expand", "from_mzv",
-    "is_admissible", "is_chain", "is_staircase", "kernel_at", "parse_term", "parse_word",
+    "is_admissible", "is_chain", "kernel_at", "parse_term", "parse_word",
     "reflect", "render_combination", "stuffle_words", "term", "term_key",
     "term_to_json", "to_mzv", "validate_pattern",
     "TraceRecord", "aux_circuit", "forward_hp", "insert_aux_column",
@@ -120,7 +118,6 @@ __all__ = [
     "trace_replay", "merge_step", "split_defect_vanishes",
     "CheckReport", "EvalReport", "check_record", "check_reduction",
     "eval_mzv", "eval_term", "step_check_lattice", "step_check_rational",
-    "verify_trace",
     "CubicalIntegrand", "FormMonomial", "cubical_integrand",
     "forest_expand", "integral_eval", "monomial_value",
     "simplicial_coefficient", "tanh_sinh_nodes",

@@ -7,32 +7,36 @@ Every popped term goes through a fixed priority of moves:
 3. dependent distinct columns: one partial-fraction step, pivot at the
    maximal circuit position (strictly lowers the exponent vector
    lexicographically);
-4. duplicated row starts: one inverse harmonic split, on the first candidate
-   pair whose truncation boundary provably vanishes (see below);
-5. a square triangular term that is not yet the staircase of a word: repair
-   its first mismatch (column-major order) by the guarded merge step;
-6. otherwise merge any adjacent pair of rows whose boundary vanishes;
-7. otherwise, a split whose boundary tends to an exact *constant* -- the
-   pair carries exponent mass exactly two and the leftover kernel on the
-   untouched rows and columns converges -- is applied anyway, and the
-   constant (zeta(2) times the leftover kernel, an exact stuffle
-   combination of admissible words) is emitted alongside.
+4. otherwise the first harmonic split that guarded_moves yields.  Its
+   candidates are the staircase repair of a square triangular term (merge
+   the rows of its first mismatch, column-major), inverse splits of rows
+   sharing a start, and merges of adjacent rows, in three stages:
+
+   a. every split whose truncation boundary provably vanishes (see below),
+      the staircase repair leading;
+   b. every split whose boundary tends to an exact *constant* -- the pair
+      carries exponent mass exactly two and the leftover kernel on the
+      untouched rows and columns converges.  It is applied anyway, and the
+      constant (zeta(2) times the leftover kernel, an exact stuffle
+      combination of admissible words) is emitted alongside;
+   c. for divergent inputs only, where the reduction is formal (regularized
+      bookkeeping): the inverse splits and the staircase repair, with the
+      guard waived.
 
 Partial fractions and auxiliary columns are exact at every lattice cutoff.
 A harmonic split is exact on the full lattice but misclassifies the corner
 n_a + n_b > B of the box [1, B]^d, so splitting a *divergent* intermediate
 can shift a finite amount of value out of the books even though every
 emitted divergent word cancels in the end.  split_defect_vanishes decides,
-by integer scale counting, whether that corner sum tends to zero; moves 4-6
-only fire when it does.  Emitting is always safe: all chain shapes with the
-same word have identical box sums (gap coordinates), so cancelled words
-cancel their truncation defects too.
+by integer scale counting, whether that corner sum tends to zero; stage (a)
+admits a split only when it does.  Emitting is always safe: all chain shapes
+with the same word have identical box sums (gap coordinates), so cancelled
+words cancel their truncation defects too.
 
-A convergent input whose term has no vanishing-boundary move is *parked*
-until a sibling branch cancels it; if any parked term survives to the end
-the reduction aborts rather than emit an unsound answer.  For divergent
-inputs the reduction is formal (regularized bookkeeping), parking is
-skipped, and the old unguarded priority applies as a fallback.
+A convergent input whose term has no guarded split is *parked* until a
+sibling branch cancels it; if any parked term survives to the end the
+reduction aborts rather than emit an unsound answer.  A divergent input's
+term with no split at all raises ProgressViolation.
 
 The merge step splits two adjacent rows harmonically; the second and third
 parts keep their shape, while the first part (two rows sharing a start --
@@ -51,6 +55,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     ParkedTermsError,
+    ParseError,
     ProgressViolation,
     TermBudgetExceeded,
     CheckFailed,
@@ -137,70 +142,39 @@ class _Budget:
 # structural predicates on canonical terms
 
 
-def _same_start_pairs(t: Term) -> list[tuple[int, int]]:
-    """All inverse-split candidates (a, b), a the longer row, ordered by
-    (shared start, shorter end, longer end)."""
-    by_start: dict[int, list[tuple[int, int]]] = {}
-    for idx, (s, e) in enumerate(t.pattern.rows):
-        by_start.setdefault(s, []).append((e, idx))
-    out = []
-    for s in sorted(by_start):
-        grp = sorted(by_start[s])
-        for i in range(len(grp)):
-            for j in range(i + 1, len(grp)):
-                if grp[i][0] == grp[j][0]:
-                    continue  # equal rows cannot be split
-                out.append((grp[j][1], grp[i][1]))
-    return out
-
-
-def _adjacent_pairs(t: Term) -> list[tuple[int, int]]:
-    """All merge candidates (a, b): row a ends right before row b starts,
-    ordered by the row intervals."""
-    rows = t.pattern.rows
-    found = [
-        (a, b)
-        for a in range(len(rows))
-        for b in range(len(rows))
-        if a != b and rows[a][1] + 1 == rows[b][0]
-    ]
-    return sorted(found, key=lambda p: (rows[p[0]], rows[p[1]]))
-
-
 def _split_candidates(t: Term):
-    """Every split the guarded moves may apply to ``t``, in priority order,
-    as (a, b, the term whose truncation boundary the split cuts, inverse_hp
-    outputs or None for a merge): inverse splits of rows sharing a start
-    first, then merges of adjacent rows."""
-    for a, b in _same_start_pairs(t):
-        outs = inverse_hp(t, a, b)
-        yield a, b, outs[0], outs
+    """Every split of ``t`` in priority order, as (a, b, the term whose
+    truncation boundary the split cuts, inverse_hp outputs or None for a
+    merge): inverse splits of rows sharing a start first, a the longer row,
+    ordered by (shared start, shorter end, longer end); then merges of
+    adjacent rows, row a ending right before row b starts, ordered by the
+    row intervals."""
+    rows = t.pattern.rows
+    order = sorted(range(t.depth), key=rows.__getitem__)
+    for i, b in enumerate(order):
+        for a in order[i + 1 :]:
+            if rows[a][0] != rows[b][0]:
+                break
+            if rows[a] != rows[b]:  # equal rows cannot be split
+                outs = inverse_hp(t, a, b)
+                yield a, b, outs[0], outs
     starts = t.pattern.row_starts()
-    for a, b in _adjacent_pairs(t):
-        if starts.count(starts[a]) > 1:
+    for a in order:
+        if starts.count(rows[a][0]) > 1:
             continue  # first split part would carry three equal starts
-        yield a, b, t, None
-
-
-def _mismatch_pair(t: Term) -> Optional[tuple[int, int]]:
-    """The rows (a, b), 0-based, that the staircase repair merges: those of
-    the first mismatch of a square triangular term.  None for any other
-    term and for the staircase itself."""
-    triangular = t.width == t.depth and sorted(t.pattern.row_starts()) == list(
-        range(1, t.depth + 1)
-    )
-    place = first_mismatch(t) if triangular else None
-    return None if place is None else (place[0] - 1, place[1] - 1)
+        for b in order:
+            if rows[a][1] + 1 == rows[b][0]:
+                yield a, b, t, None
 
 
 def first_mismatch(t: Term) -> Optional[Place]:
     """First place (row i, column j), scanned column-major, where a square
-    triangular term differs from the staircase (row m covering m..d).
-    None iff the term already is the staircase."""
+    triangular term (row m starts at column m) differs from the staircase
+    (row m covering m..d).  None for the staircase itself and for any term
+    that is not square and triangular."""
     d = t.depth
-    assert t.width == d, "first_mismatch needs a square term"
-    rows = t.pattern.rows
-    assert [s for s, _ in rows] == list(range(1, d + 1)), "term must be triangular"
+    if t.width != d or t.pattern.row_starts() != list(range(1, d + 1)):
+        return None
     for j in range(1, d + 1):
         for i in range(1, j):
             if not t.pattern.cover[j - 1] >> (i - 1) & 1:
@@ -290,6 +264,30 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
     return True
 
 
+def guarded_moves(t: Term, formal: bool):
+    """Every split the boundary guard admits on ``t``, lazily and in priority
+    order, as (a, b, inverse_hp outputs or None for a merge, leftover kernel
+    or None): first every split whose boundary vanishes, led by the
+    staircase repair (a triangular term has distinct starts, so it never has
+    inverse splits to overtake); then every split whose boundary tends to
+    zeta(2) times the convergent leftover kernel; then, only when
+    ``formal``, the inverse splits and the staircase repair with the guard
+    waived."""
+    place = first_mismatch(t)
+    leads = [] if place is None else [(place[0] - 1, place[1] - 1, t, None)]
+    for a, b, src, outs in itertools.chain(leads, _split_candidates(t)):
+        if split_defect_vanishes(src, a, b):
+            yield a, b, outs, None
+    for a, b, src, outs in _split_candidates(t):
+        sub = _comp_subterm(src, a, b)
+        if sub is not None:
+            yield a, b, outs, sub
+    if formal:
+        inverse = (c for c in _split_candidates(t) if c[3] is not None)
+        for a, b, _, outs in itertools.chain(inverse, leads):
+            yield a, b, outs, None
+
+
 def _comp_words(
     sub: Term, inverse: bool, coefficient: Rat, **reduce_args
 ) -> MZVCombination:
@@ -313,7 +311,7 @@ def merge_step(
     t: Term,
     a: int,
     b: int,
-    recorder: Optional[Callable] = None,
+    recorder: Callable,
     budget: Optional[_Budget] = None,
     comp_words: Optional[list] = None,
 ) -> Expression:
@@ -329,21 +327,19 @@ def merge_step(
     i = t.pattern.rows[a][0]
     j = t.pattern.rows[b][0]
     out1, out2, out3 = forward_hp(t, a, b)
-    if recorder is not None:
-        hp_params: dict = {"a": a, "b": b}
-        if comp_words is not None:
-            hp_params["comp_words"] = comp_words
-        recorder(TraceRecord("forward_hp", t, (out1, out2, out3), hp_params))
+    hp_params: dict = {"a": a, "b": b}
+    if comp_words is not None:
+        hp_params["comp_words"] = comp_words
+    recorder(TraceRecord("forward_hp", t, (out1, out2, out3), hp_params))
     result = Expression()
     result.add(out2)
     result.add(out3)
 
     c1 = canonical_term(out1)
     aux_t, aux_pos = insert_aux_column(c1, i, j)
-    if recorder is not None:
-        recorder(
-            TraceRecord("insert_aux", c1, (aux_t,), {"pair": [i, j], "aux": aux_pos})
-        )
+    recorder(
+        TraceRecord("insert_aux", c1, (aux_t,), {"pair": [i, j], "aux": aux_pos})
+    )
     circuit = aux_circuit(aux_t, aux_pos)
     params = {
         "members": list(circuit.members),
@@ -356,8 +352,7 @@ def merge_step(
             budget.tick()
         src = work.pop()
         outs = pf_step(src, circuit, aux_pos - 1)
-        if recorder is not None:
-            recorder(TraceRecord("pf_step", src, tuple(outs), dict(params)))
+        recorder(TraceRecord("pf_step", src, tuple(outs), dict(params)))
         for raw in outs:
             if raw.width > t.width:
                 # member exponent still positive: no column vanished yet
@@ -386,6 +381,8 @@ def reduce_to_mzv(
     """Rewrite ``source`` into a rational combination of multiple zeta words
     of the same weight.  With ``verify=True`` every recorded move is replayed
     through the exact per-step checks as it happens."""
+    if max_terms < 1:
+        raise ParseError(f"term budget must be at least 1, got {max_terms}")
     pending = Expression(_source_terms(source))
     if not pending:
         return ReductionResult({}, ReductionTrace(), True, True)
@@ -460,72 +457,35 @@ def reduce_to_mzv(
             settle(outs)
             continue
 
-        # Moves 4-7 share one candidate order.  The first split whose
-        # boundary vanishes wins; failing that, the first one whose boundary
-        # tends to an exact constant is applied anyway and the constant is
-        # emitted, sign fixed by the split direction (an inverse split books
-        # the corner with the opposite orientation).  The staircase repair
-        # leads the vanishing pass only; a triangular term has distinct
-        # starts, so it never has inverse-split candidates to overtake.
-        lead = _mismatch_pair(t)
-        leads = [] if lead is None else [(*lead, t, None)]
-        split = None
-        for a, b, src, outs in itertools.chain(leads, _split_candidates(t)):
-            if split_defect_vanishes(src, a, b):
-                split = (a, b, outs, None)
-                break
-        else:
-            for a, b, src, outs in _split_candidates(t):
-                sub = _comp_subterm(src, a, b)
-                if sub is not None:
-                    split = (a, b, outs, sub)
-                    break
-        if split is not None:
-            a, b, outs, sub = split
-            words: MZVCombination = {}
-            wparams = None
-            if sub is not None:
-                words = _comp_words(
-                    sub,
-                    inverse=outs is not None,
-                    coefficient=t.coefficient,
-                    max_terms=max_terms,
-                    verify=verify,
-                    seed=seed,
-                )
-                wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
-            if outs is not None:
-                params: dict = {"a": a, "b": b}
-                if wparams is not None:
-                    params["comp_words"] = wparams
-                recorder(TraceRecord("inverse_hp", t, tuple(outs), params))
-                settle(outs)
-            else:
-                settle(
-                    merge_step(
-                        t, a, b, recorder, budget, comp_words=wparams
-                    ).terms()
-                )
-            for w, c in words.items():
-                comb_add(combo, w, c)
-            continue
-
-        if input_convergent:
+        move = next(guarded_moves(t, formal=not input_convergent), None)
+        if move is None:
+            if not input_convergent:
+                raise ProgressViolation(f"no applicable move for {t}")
             parked[term_key(t)] = t
             continue
-
-        # formal mode: regularized bookkeeping, no boundary guard
-        pairs = _same_start_pairs(t)
-        if pairs:
-            a, b = pairs[0]
-            outs = inverse_hp(t, a, b)
-            recorder(TraceRecord("inverse_hp", t, tuple(outs), {"a": a, "b": b}))
+        a, b, outs, sub = move
+        words: MZVCombination = {}
+        wparams = None
+        if sub is not None:
+            words = _comp_words(
+                sub,
+                inverse=outs is not None,
+                coefficient=t.coefficient,
+                max_terms=max_terms,
+                verify=verify,
+                seed=seed,
+            )
+            wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
+        if outs is not None:
+            params: dict = {"a": a, "b": b}
+            if wparams is not None:
+                params["comp_words"] = wparams
+            recorder(TraceRecord("inverse_hp", t, tuple(outs), params))
             settle(outs)
-            continue
-        if lead is not None:
-            settle(merge_step(t, *lead, recorder, budget).terms())
-            continue
-        raise ProgressViolation(f"no applicable move for {t}")
+        else:
+            settle(merge_step(t, a, b, recorder, budget, wparams).terms())
+        for w, c in words.items():
+            comb_add(combo, w, c)
 
     if parked:
         shapes = "; ".join(str(u) for u in list(parked.values())[:3])

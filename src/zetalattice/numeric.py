@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -184,6 +183,17 @@ def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
     return [float(t.coefficient) * math.fsum(part) for part in pieces]
 
 
+def _cutoff_ladder(partials: Callable[[list[int]], list[float]], N: int) -> EvalReport:
+    """The raw partial sum at N when N < 16, with no error estimate; else
+    the extrapolation through the partial sums at N/8 (from N = 128 on),
+    N/4, N/2 and N.  ``partials`` maps a list of cutoffs to their sums."""
+    if N < 16:
+        return EvalReport(partials([N])[0], N, False, float("inf"))
+    ns = [N // 8, N // 4, N // 2, N] if N >= 128 else [N // 4, N // 2, N]
+    value, err = _extrapolate(ns, partials(ns))
+    return EvalReport(value, N, True, err)
+
+
 def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
     """Extrapolated numeric value of a convergent term's lattice series."""
     if N is not None and N < 1:
@@ -195,13 +205,7 @@ def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
         )
     if N is None:
         N = default_cutoff(t.depth)
-    if N < 16:
-        v = _partial_sums(t, [N])[0]
-        return EvalReport(v, N, False, float("inf"))
-    ns = [N // 8, N // 4, N // 2, N] if N >= 128 else [N // 4, N // 2, N]
-    vals = _partial_sums(t, ns)
-    value, err = _extrapolate(ns, vals)
-    return EvalReport(value, N, True, err)
+    return _cutoff_ladder(lambda ns: _partial_sums(t, ns), N)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +236,7 @@ def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
         raise DivergentWord(f"zeta{w} diverges (first part < 2)")
     if N < 1:
         raise ParseError(f"cutoff N must be at least 1, got {N}")
-    if N < 16:
-        v = _word_partials(w, [N])[0]
-        return EvalReport(v, N, False, float("inf"))
-    ns = [N // 8, N // 4, N // 2, N] if N >= 128 else [N // 4, N // 2, N]
-    vals = _word_partials(w, ns)
-    value, err = _extrapolate(ns, vals)
-    return EvalReport(value, N, True, err)
+    return _cutoff_ladder(lambda ns: _word_partials(w, ns), N)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -474,15 +472,3 @@ def check_record(rec: TraceRecord, rng) -> None:
             check_comp_words(rec)
     else:
         raise ValueError(f"unknown move {rec.move!r}")
-
-
-def verify_trace(records, seed: int = 0) -> int:
-    """Run every record of a trace (or iterable of records) through its
-    exact check.  Returns the number of records checked."""
-    rng = random.Random(seed)
-    recs = getattr(records, "records", records)
-    count = 0
-    for rec in recs:
-        check_record(rec, rng)
-        count += 1
-    return count

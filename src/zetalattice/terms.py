@@ -313,16 +313,6 @@ def is_chain(t: Term) -> bool:
     return True
 
 
-def is_staircase(t: Term) -> bool:
-    """The chain normal form: a square pattern whose row m covers columns
-    m..d, so column c is literally the c-th partial sum."""
-    d = t.depth
-    if t.width != d:
-        return False
-    rows = sorted(t.pattern.rows)
-    return all(rows[m] == (m + 1, d) for m in range(d))
-
-
 def to_mzv(t: Term) -> tuple[Word, Rat]:
     """Read the multiple zeta word off a chain term.  A column covered by
     exactly j rows carries the j-th prefix sum (outermost first); the prefix
@@ -482,6 +472,10 @@ def term_to_json(t: Term) -> dict:
     }
 
 
+def _json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_term(source: Union[str, dict]) -> Term:
     """Parse the documented term JSON; raises ParseError on anything bad."""
     if isinstance(source, str):
@@ -499,6 +493,16 @@ def parse_term(source: Union[str, dict]) -> Term:
     except (KeyError, TypeError):
         raise ParseError("term JSON needs 'rows' and 'exponents'") from None
     coeff = obj.get("coefficient", "1")
+    # Python would truncate 2.7 to 2 and read 0.1 as its binary fraction
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(r, list) and all(map(_json_int, r)) for r in rows)
+        and isinstance(exps, list)
+        and all(map(_json_int, exps))
+    ):
+        raise ParseError("rows and exponents must hold JSON integers only")
+    if not (isinstance(coeff, str) or _json_int(coeff)):
+        raise ParseError(f"coefficient must be a string or an integer: {coeff!r}")
     try:
         return term(rows, exps, coeff)
     except (MalformedInterval, ZeroColumn, RankDeficient):

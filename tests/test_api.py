@@ -7,7 +7,8 @@ REMOVED = {
     "engine": ("triangularize", "staircase_step", "duplicate_start_pair"),
     "moves": ("square_reduce",),
     "linalg": ("kernel_basis",),
-    "terms": ("apply_derivative", "comb_scale", "word_weight"),
+    "numeric": ("verify_trace",),
+    "terms": ("apply_derivative", "comb_scale", "word_weight", "is_staircase"),
     "periods": ("arnold_defect", "wedge_matrix"),
     "errors": ("NonTermination",),
 }

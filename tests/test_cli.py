@@ -68,9 +68,28 @@ def test_non_positive_cutoffs_exit_2():
         ("eval", zeta2, "--N", "-5"),
         ("check", TORNHEIM, "--N", "0"),
         ("integral", zeta2, "--nodes", "0"),
+        ("reduce", TORNHEIM, "--max-terms", "0"),
     ):
         err = json.loads(run_cli(*args, expect=2).stderr)
         assert err["kind"] == "ParseError", args
+
+
+def test_non_integer_term_json_exits_2(capsys):
+    # Python would truncate 2.7 and True to integers and read 0.1 as the
+    # binary fraction 3602879701896397/36028797018963968
+    zeta2 = {"rows": [[1, 1]], "exponents": [2]}
+    for obj in (
+        {"rows": [[1, 2.7]], "exponents": [1.5, 2.2]},
+        {"rows": [[1, True]], "exponents": [2]},
+        {"rows": [[1, 1]], "exponents": ["2"]},
+        {"rows": [[1, 1]], "exponents": [2.0]},
+        {**zeta2, "coefficient": 0.1},
+        {**zeta2, "coefficient": True},
+    ):
+        assert cli.main(["validate", json.dumps(obj)]) == 2, obj
+        assert json.loads(capsys.readouterr().err)["kind"] == "ParseError", obj
+    for coeff in (-4, "1/3"):
+        assert cli.main(["validate", json.dumps({**zeta2, "coefficient": coeff})]) == 0
 
 
 def test_budget_exhaustion_exits_3():

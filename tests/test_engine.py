@@ -10,7 +10,12 @@ from zetalattice.engine import (
     split_defect_vanishes,
     trace_replay,
 )
-from zetalattice.errors import CheckFailed, ParkedTermsError, TermBudgetExceeded
+from zetalattice.errors import (
+    CheckFailed,
+    ParkedTermsError,
+    ParseError,
+    TermBudgetExceeded,
+)
 from zetalattice.terms import direct_sum, from_mzv, parse_term, term, term_to_json
 
 TORNHEIM = term([(1, 2), (2, 3)], [1, 1, 1])
@@ -46,6 +51,8 @@ def test_reduction_is_deterministic_bytes():
 def test_budget_is_enforced():
     with pytest.raises(TermBudgetExceeded):
         reduce_to_mzv(TORNHEIM, max_terms=2)
+    with pytest.raises(ParseError):
+        reduce_to_mzv(TORNHEIM, max_terms=0)
 
 
 def test_replay_detects_a_dropped_record():
@@ -65,14 +72,50 @@ def test_inadmissible_staircase_is_emitted_formally():
     assert not res.divergent_cancelled
 
 
+def test_divergent_inputs_reduce_formally_and_replay():
+    # no split has a vanishing boundary here: the staircase repair runs with
+    # the guard waived
+    t = term([(1, 1), (2, 2)], [1, 1])
+    res = reduce_to_mzv(t, verify=True)
+    assert res.combination == {(1, 1): Rat(2), (2,): Rat(1)}
+    assert not res.input_convergent
+    assert trace_replay(t, res.trace) == res.combination
+    # jointly divergent rows: an unguarded inverse split comes first, and
+    # the divergent words cancel
+    t = term([(1, 2), (1, 3), (2, 3)], [1, 1, 1])
+    res = reduce_to_mzv(t, verify=True)
+    assert res.combination == {(2, 1): Rat(-1)}
+    assert res.trace.records[0].move == "inverse_hp"
+    assert not res.input_convergent and res.divergent_cancelled
+    assert trace_replay(t, res.trace) == res.combination
+    # several unguarded inverse splits: the first candidate in split order,
+    # shared start then shorter end, is taken
+    t = term([(1, 1), (1, 2), (1, 3), (2, 4)], [1, 1, 1, 1])
+    res = reduce_to_mzv(t)
+    first = res.trace.records[0]
+    assert (first.move, first.params) == ("inverse_hp", {"a": 1, "b": 0})
+    assert res.combination == {(1, 1, 1, 1): Rat(1), (2, 2): Rat(2), (4,): Rat(1)}
+    assert trace_replay(t, res.trace) == res.combination
+    # with the guard waived, a merge is only ever the staircase repair
+    for rec in res.trace.records:
+        if rec.move != "forward_hp" or "comp_words" in rec.params:
+            continue
+        a, b = rec.params["a"], rec.params["b"]
+        if not split_defect_vanishes(rec.input, a, b):
+            assert first_mismatch(rec.input) == (a + 1, b + 1)
+
+
 # ---------------------------------------------------------------------------
 # structural predicates
 
 
 def test_first_mismatch_spots_non_staircases():
-    # square triangular inputs only: every row m must cover m..depth to pass
+    # a square triangular term passes iff every row m covers m..depth
     assert first_mismatch(term([(1, 3), (2, 3), (3, 3)], [1, 1, 1])) is None
     assert first_mismatch(term([(1, 2), (2, 3), (3, 3)], [1, 1, 1])) == (1, 3)
+    # not square, or not triangular: no staircase repair applies
+    assert first_mismatch(term([(1, 2), (2, 3)], [1, 1, 1])) is None
+    assert first_mismatch(term([(1, 2), (1, 1)], [1, 1])) is None
 
 
 # ---------------------------------------------------------------------------

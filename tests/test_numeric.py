@@ -18,7 +18,6 @@ from zetalattice.numeric import (
     eval_term,
     step_check_lattice,
     step_check_rational,
-    verify_trace,
 )
 from zetalattice.terms import Term, from_mzv, kernel_at, term
 
@@ -145,11 +144,6 @@ def test_check_reduction_refuses_divergent_words():
 def tornheim_trace():
     t = term([(1, 2), (2, 3)], [1, 1, 1])
     return t, reduce_to_mzv(t).trace
-
-
-def test_verify_trace_passes_genuine_records():
-    _, trace = tornheim_trace()
-    assert verify_trace(trace.records) == len(trace.records)
 
 
 def test_rational_check_catches_a_sign_flip():
