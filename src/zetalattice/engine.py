@@ -43,6 +43,20 @@ parts keep their shape, while the first part (two rows sharing a start --
 undoing it naively would just invert the split) gets a fresh exponent-0
 column, a partial fraction pivoted there, and full renormalization.  A
 global term budget guards the whole loop.
+
+Every move is linear in the coefficient of the term it rewrites: its
+choice, its parameters and the shapes of its outputs depend on the shape
+alone (pattern and exponents), and every output coefficient, emitted
+coefficient and compensation word is the input coefficient times a rational
+fixed by the shape.  So each call keeps a table, dropped when the call
+returns, from every popped shape to its expansion measured at the
+coefficient of its first visit: the trace records, the canonical outputs
+with their term_key, the words, the budget ticks of a merge, or the fact
+that the term parks.  A later pop of the same shape makes no new search; the
+driver applies the stored expansion times lam = c_new / c_first through the
+same path a first visit takes with lam = 1, so the trace, the combination
+and every counter are those of expanding the shape afresh.  With
+``verify=True`` every applied record is still checked, replays included.
 """
 
 from __future__ import annotations
@@ -130,8 +144,8 @@ class _Budget:
         self.cap = cap
         self.used = 0
 
-    def tick(self) -> None:
-        self.used += 1
+    def tick(self, n: int = 1) -> None:
+        self.used += n
         if self.used > self.cap:
             raise TermBudgetExceeded(
                 f"reduction exceeded the term budget of {self.cap}"
@@ -372,6 +386,114 @@ def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[T
     return (source,) if isinstance(source, Term) else source
 
 
+@dataclass
+class _Expansion:
+    """What the driver does with one popped shape, measured at the
+    coefficient of its first visit: the trace records, the canonical outputs
+    paired with their term_key, the words added to the combination (the
+    emitted word or the compensation words), the budget ticks of a merge's
+    inner loop, or the fact that the term parks."""
+
+    coefficient: Rat
+    records: list[TraceRecord] = field(default_factory=list)
+    outputs: list[tuple[Term, tuple]] = field(default_factory=list)
+    words: MZVCombination = field(default_factory=dict)
+    ticks: int = 0
+    parks: bool = False
+
+
+def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
+    """The nonzero raw outputs of a move, canonical and paired with their
+    term_key."""
+    keyed = []
+    for raw in outs:
+        if raw.coefficient != 0:
+            ct = canonical_term(raw)
+            keyed.append((ct, term_key(ct)))
+    return keyed
+
+
+def _expand(
+    t: Term, formal: bool, max_terms: int, verify: bool, seed: int
+) -> _Expansion:
+    """Choose and make the move for a popped term ``t`` (see the module
+    docstring for the priority), without touching the driver's state; the
+    last three arguments go to the reduction of a compensation kernel."""
+    exp = _Expansion(t.coefficient)
+    if is_chain(t):
+        word, coeff = to_mzv(t)
+        exp.records.append(
+            TraceRecord("emit", t, (), {"word": list(word), "coeff": str(coeff)})
+        )
+        exp.words[word] = coeff
+        return exp
+
+    circuit = find_circuit(t.pattern.columns())
+    if circuit is not None:
+        pivot = max(circuit.members)
+        outs = pf_step(t, circuit, pivot)
+        params = {
+            "members": list(circuit.members),
+            "coefficients": [str(c) for c in circuit.coefficients],
+            "pivot": pivot,
+        }
+        exp.records.append(TraceRecord("pf_step", t, tuple(outs), params))
+        exp.outputs = _keyed(outs)
+        return exp
+
+    move = next(guarded_moves(t, formal), None)
+    if move is None:
+        if formal:
+            raise ProgressViolation(f"no applicable move for {t}")
+        exp.parks = True
+        return exp
+    a, b, outs, sub = move
+    wparams = None
+    if sub is not None:
+        exp.words = _comp_words(
+            sub,
+            inverse=outs is not None,
+            coefficient=t.coefficient,
+            max_terms=max_terms,
+            verify=verify,
+            seed=seed,
+        )
+        wparams = [[list(w), str(c)] for w, c in sorted(exp.words.items())]
+    if outs is not None:
+        params = {"a": a, "b": b}
+        if wparams is not None:
+            params["comp_words"] = wparams
+        exp.records.append(TraceRecord("inverse_hp", t, tuple(outs), params))
+        exp.outputs = _keyed(outs)
+    else:
+        loop = _Budget(max_terms)
+        merged = merge_step(t, a, b, exp.records.append, loop, wparams)
+        exp.outputs = merged.keyed_terms()
+        exp.ticks = loop.used
+    return exp
+
+
+def _scaled(t: Term, lam: Rat) -> Term:
+    return Term(t.pattern, t.exponents, t.coefficient * lam)
+
+
+def _scaled_record(rec: TraceRecord, lam: Rat) -> TraceRecord:
+    """``rec`` with every coefficient times ``lam``: the input, the outputs,
+    an emitted coefficient and the compensation words."""
+    params = rec.params
+    if "coeff" in params:
+        params = {**params, "coeff": str(Rat(params["coeff"]) * lam)}
+    if "comp_words" in params:
+        words = [[w, str(Rat(c) * lam)] for w, c in params["comp_words"]]
+        params = {**params, "comp_words": words}
+    return TraceRecord(
+        rec.move,
+        _scaled(rec.input, lam),
+        tuple(_scaled(o, lam) for o in rec.outputs),
+        params,
+    )
+
+
 def reduce_to_mzv(
     source: Union[Term, Expression, Iterable[Term]],
     max_terms: int = 100_000,
@@ -398,27 +520,12 @@ def reduce_to_mzv(
         rng = random.Random(seed)
         checker = lambda rec: numeric.check_record(rec, rng=rng)
 
-    def recorder(rec: TraceRecord) -> None:
-        trace.records.append(rec)
-        if checker is not None:
-            checker(rec)
-
     # Terms with no vanishing-boundary move wait here for a sibling branch
     # to cancel them; every insertion into the pool settles against this
     # ledger first.
     parked: dict = {}
-
-    def settle(terms: Iterable[Term]) -> None:
-        for raw in terms:
-            if raw.coefficient == 0:
-                continue
-            key = term_key(raw)
-            if key in parked:
-                c = parked.pop(key).coefficient + raw.coefficient
-                if c != 0:
-                    pending.add(raw.with_coefficient(c))
-            else:
-                pending.add(raw)
+    # Every popped shape's expansion, for this call only.
+    expansions: dict = {}
 
     combo: MZVCombination = {}
     while pending:
@@ -428,64 +535,35 @@ def reduce_to_mzv(
         budget.tick()
         assert t.weight == input_weight
 
-        if is_chain(t):
-            word, coeff = to_mzv(t)
-            recorder(
-                TraceRecord(
-                    "emit", t, (), {"word": list(word), "coeff": str(coeff)}
-                )
+        shape = (t.pattern.rows, t.exponents)
+        exp = expansions.get(shape)
+        if exp is None:
+            exp = expansions[shape] = _expand(
+                t, not input_convergent, max_terms, verify, seed
             )
-            comb_add(combo, word, coeff)
-            continue
-
-        circuit = find_circuit(t.pattern.columns())
-        if circuit is not None:
-            pivot = max(circuit.members)
-            outs = pf_step(t, circuit, pivot)
-            recorder(
-                TraceRecord(
-                    "pf_step",
-                    t,
-                    tuple(outs),
-                    {
-                        "members": list(circuit.members),
-                        "coefficients": [str(c) for c in circuit.coefficients],
-                        "pivot": pivot,
-                    },
-                )
-            )
-            settle(outs)
-            continue
-
-        move = next(guarded_moves(t, formal=not input_convergent), None)
-        if move is None:
-            if not input_convergent:
-                raise ProgressViolation(f"no applicable move for {t}")
+        if exp.parks:
             parked[term_key(t)] = t
             continue
-        a, b, outs, sub = move
-        words: MZVCombination = {}
-        wparams = None
-        if sub is not None:
-            words = _comp_words(
-                sub,
-                inverse=outs is not None,
-                coefficient=t.coefficient,
-                max_terms=max_terms,
-                verify=verify,
-                seed=seed,
-            )
-            wparams = [[list(w), str(c)] for w, c in sorted(words.items())]
-        if outs is not None:
-            params: dict = {"a": a, "b": b}
-            if wparams is not None:
-                params["comp_words"] = wparams
-            recorder(TraceRecord("inverse_hp", t, tuple(outs), params))
-            settle(outs)
-        else:
-            settle(merge_step(t, a, b, recorder, budget, wparams).terms())
-        for w, c in words.items():
-            comb_add(combo, w, c)
+        # Every move is linear in the coefficient, so a revisit is the first
+        # visit's expansion times lam; the first visit has lam = 1.
+        lam = t.coefficient / exp.coefficient
+        for rec in exp.records:
+            rec = rec if lam == 1 else _scaled_record(rec, lam)
+            trace.records.append(rec)
+            if checker is not None:
+                checker(rec)
+        budget.tick(exp.ticks)
+        for ct, key in exp.outputs:
+            if lam != 1:
+                ct = _scaled(ct, lam)
+            if key in parked:
+                c = parked.pop(key).coefficient + ct.coefficient
+                if c != 0:
+                    pending.add_canonical(ct.with_coefficient(c), key)
+            else:
+                pending.add_canonical(ct, key)
+        for w, c in exp.words.items():
+            comb_add(combo, w, c * lam)
 
     if parked:
         shapes = "; ".join(str(u) for u in list(parked.values())[:3])

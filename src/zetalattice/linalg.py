@@ -1,23 +1,30 @@
 """Exact linear algebra over the rationals.
 
 Everything in the engine that decides "are these columns dependent, and how?"
-funnels through this module.  Columns are short integer/Fraction tuples (depth
-<= 8 at desk scale), so plain Gaussian elimination over ``fractions.Fraction``
-is exact and fast enough; no fraction-free tricks are needed.
+funnels through this module.  Columns are short tuples of ints or Fractions
+(depth <= 8 at desk scale).  Elimination runs fraction-free on Python ints:
+a column with rational entries is first scaled to integers by the lcm of its
+denominators, each reduced row is divided, together with its expansion over
+the input columns, by the gcd of all its entries, and ``_normalize`` turns
+the integer combination back into the rational circuit.  The circuit of a
+first dependent column is unique up to scale and the greedy basis does not
+depend on the arithmetic, so the answers equal those of elimination over
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 
-Vector = tuple[Fraction, ...]
-
-
-def _as_vec(col) -> Vector:
-    return tuple(Fraction(x) for x in col)
+def _integer_column(col) -> tuple[tuple[int, ...], int]:
+    """The column scaled to integers, and the scale: the lcm of the
+    denominators of its entries."""
+    scale = math.lcm(*(x.denominator for x in col))
+    return tuple(int(x * scale) for x in col), scale
 
 
 @dataclass(frozen=True)
@@ -38,61 +45,57 @@ class CircuitDependency:
 
 
 class _Echelon:
-    """Incremental echelon basis that tracks, for every stored vector, its
-    expansion over the original columns that were fed in."""
+    """Incremental echelon basis over the integers that tracks, for every
+    stored vector, its pivot and its expansion over the original columns
+    that were fed in."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[tuple[Vector, dict[int, Fraction]]] = []
+    def __init__(self):
+        self.rows: list[tuple[list[int], dict[int, int], int]] = []
 
-    def _reduce(self, vec: Vector, rep: dict[int, Fraction]):
-        v = list(vec)
-        for bvec, brep in self.rows:
-            p = _pivot_index(bvec)
-            if v[p] != 0:
-                f = v[p] / bvec[p]
-                for i in range(self.dim):
-                    v[i] -= f * bvec[i]
-                for k, c in brep.items():
-                    rep[k] = rep.get(k, Fraction(0)) - f * c
-        return tuple(v), {k: c for k, c in rep.items() if c != 0}
-
-    def insert(self, index: int, vec: Vector) -> Optional[dict[int, Fraction]]:
+    def insert(self, index: int, vec: Sequence[int]) -> Optional[dict[int, int]]:
         """Reduce ``vec`` against the basis.  If independent, store it and
-        return None; if dependent, return the vanishing combination
+        return None; if dependent, return a vanishing integer combination
         {original column index: coefficient} (includes ``index`` itself)."""
-        red, rep = self._reduce(vec, {index: Fraction(1)})
-        if all(x == 0 for x in red):
+        v = list(vec)
+        rep = {index: 1}
+        for bvec, brep, p in self.rows:
+            f = v[p]
+            if f == 0:
+                continue
+            g = bvec[p]
+            v = [g * x - f * y for x, y in zip(v, bvec)]
+            rep = {
+                k: g * rep.get(k, 0) - f * brep.get(k, 0)
+                for k in rep.keys() | brep.keys()
+            }
+            rep = {k: c for k, c in rep.items() if c}
+            d = math.gcd(*v, *rep.values())
+            v = [x // d for x in v]
+            rep = {k: c // d for k, c in rep.items()}
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
             return rep
-        self.rows.append((red, rep))
+        self.rows.append((v, rep, pivot))
         return None
-
-
-def _pivot_index(vec: Vector) -> int:
-    for i, x in enumerate(vec):
-        if x != 0:
-            return i
-    raise ValueError("zero vector has no pivot")
 
 
 def rank(columns: Sequence[Sequence]) -> int:
     """Rank of the column list over the rationals."""
-    cols = [_as_vec(c) for c in columns]
-    if not cols:
-        return 0
-    ech = _Echelon(len(cols[0]))
+    ech = _Echelon()
     r = 0
-    for j, v in enumerate(cols):
-        if any(x != 0 for x in v) and ech.insert(j, v) is None:
+    for j, col in enumerate(columns):
+        v, _ = _integer_column(col)
+        if any(v) and ech.insert(j, v) is None:
             r += 1
     return r
 
 
-def _normalize(rep: dict[int, Fraction]) -> CircuitDependency:
+def _normalize(rep: dict[int, int], scales: list[int]) -> CircuitDependency:
+    """The circuit of an integer combination of scaled columns: member j of
+    the input columns carries rep[j] times its scale."""
     members = tuple(sorted(rep))
-    lead = rep[members[0]]
-    coeffs = tuple(rep[m] / lead for m in members)
-    return CircuitDependency(members, coeffs)
+    coeffs = [Fraction(rep[m] * scales[m]) for m in members]
+    return CircuitDependency(members, tuple(c / coeffs[0] for c in coeffs))
 
 
 def find_circuit(
@@ -106,28 +109,26 @@ def find_circuit(
     ``must_contain``: return a circuit through that column, or None when the
     column is independent from all the others.  Deterministic either way.
     """
-    cols = [_as_vec(c) for c in columns]
-    if not cols:
-        return None
-    dim = len(cols[0])
+    scaled = [_integer_column(c) for c in columns]
+    cols = [v for v, _ in scaled]
+    scales = [s for _, s in scaled]
+    ech = _Echelon()
     if must_contain is not None:
         if not 0 <= must_contain < len(cols):
             raise IndexError(f"must_contain={must_contain} out of range")
-        ech = _Echelon(dim)
         for j, v in enumerate(cols):
-            if j == must_contain or all(x == 0 for x in v):
+            if j == must_contain or not any(v):
                 continue
             ech.insert(j, v)  # dependent columns among the rest are skipped
         target = cols[must_contain]
-        if all(x == 0 for x in target):
-            return _normalize({must_contain: Fraction(1)})
+        if not any(target):
+            return _normalize({must_contain: 1}, scales)
         rep = ech.insert(must_contain, target)
-        return None if rep is None else _normalize(rep)
-    ech = _Echelon(dim)
+        return None if rep is None else _normalize(rep, scales)
     for j, v in enumerate(cols):
-        if all(x == 0 for x in v):
-            return _normalize({j: Fraction(1)})
+        if not any(v):
+            return _normalize({j: 1}, scales)
         rep = ech.insert(j, v)
         if rep is not None:
-            return _normalize(rep)
+            return _normalize(rep, scales)
     return None

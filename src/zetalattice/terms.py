@@ -361,6 +361,10 @@ class Expression:
 
     def add(self, t: Term) -> None:
         ct = canonical_term(t)
+        self.add_canonical(ct, term_key(ct))
+
+    def add_canonical(self, ct: Term, key) -> None:
+        """Add a term that is already canonical, with its term_key."""
         if ct.coefficient == 0:
             return
         if self.weight is None:
@@ -369,7 +373,6 @@ class Expression:
             raise ValueError(
                 f"mixed weights in expression: {ct.weight} vs {self.weight}"
             )
-        key = term_key(ct)
         old = self._terms.get(key)
         if old is None:
             self._terms[key] = ct
@@ -381,7 +384,11 @@ class Expression:
                 self._terms[key] = old.with_coefficient(c)
 
     def terms(self) -> list[Term]:
-        return [self._terms[k] for k in sorted(self._terms)]
+        return [t for t, _ in self.keyed_terms()]
+
+    def keyed_terms(self) -> list[tuple[Term, tuple]]:
+        """(canonical term, its term_key) pairs in key order."""
+        return [(self._terms[k], k) for k in sorted(self._terms)]
 
     def pop_smallest(self) -> Term:
         key = min(self._terms)

@@ -2,6 +2,7 @@ from fractions import Fraction as Rat
 
 import pytest
 
+from zetalattice import engine, numeric, terms
 from zetalattice.engine import (
     _comp_subterm,
     first_mismatch,
@@ -180,3 +181,89 @@ def test_parked_terms_are_reported_as_term_json():
     assert err.value.terms
     for obj in err.value.terms:
         assert term_to_json(parse_term(obj)) == obj
+
+
+# ---------------------------------------------------------------------------
+# one expansion per shape per call
+
+# deep4 terms (corpus.random_corpus(seed=11, count=60, max_depth=4,
+# max_weight=7)) whose reductions pop some shapes many times
+LOOPING = term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1])
+REVISITING = term([(1, 1), (1, 2), (2, 3)], [3, 1, 1])
+PARKING = term([(1, 3), (1, 5), (2, 3), (3, 4)], [1, 1, 2, 1, 1])
+
+
+def test_each_shape_is_expanded_once_per_call(monkeypatch):
+    calls = {"find_circuit": 0, "guarded_moves": 0}
+    for name in calls:
+        inner = getattr(engine, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    # a compensated split reduces its leftover kernel in a nested call with
+    # its own table, so shapes are counted per pool; the set holds each
+    # pool, so no two pools share an identity
+    pops, shapes = [], set()
+    pop = terms.Expression.pop_smallest
+
+    def counted_pop(pool):
+        t = pop(pool)
+        pops.append(t)
+        shapes.add((pool, t.pattern.rows, t.exponents))
+        return t
+
+    monkeypatch.setattr(terms.Expression, "pop_smallest", counted_pop)
+    counts = []
+    for _ in range(2):  # no table outlives its call
+        calls.update(find_circuit=0, guarded_moves=0)
+        pops.clear()
+        shapes.clear()
+        reduce_to_mzv(LOOPING)
+        assert len(pops) > len(shapes)
+        assert calls["find_circuit"] <= len(shapes)
+        assert calls["guarded_moves"] <= len(shapes)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+def test_verify_checks_every_replayed_record(monkeypatch):
+    checked = []
+    check = numeric.check_record
+
+    def counted_check(rec, rng):
+        checked.append(rec)
+        check(rec, rng)
+
+    monkeypatch.setattr(numeric, "check_record", counted_check)
+    res = reduce_to_mzv(REVISITING, verify=True)
+    assert len(checked) == len(res.trace.records) == 57
+    # some records replay an earlier shape at another coefficient
+    first, scaled = {}, 0
+    for rec in res.trace.records:
+        shape = (rec.move, rec.input.pattern.rows, rec.input.exponents)
+        scaled += first.setdefault(shape, rec.input.coefficient) != rec.input.coefficient
+    assert scaled
+
+
+def test_budget_counts_every_revisit():
+    # the smallest budget that reduces REVISITING, as before shapes were
+    # replayed: 29 pops plus the inner passes of its merges
+    res = reduce_to_mzv(REVISITING, max_terms=49)
+    assert res.combination == {(3, 1, 1): Rat(1), (3, 2): Rat(1)}
+    assert res.trace.terms_processed == 29
+    with pytest.raises(TermBudgetExceeded):
+        reduce_to_mzv(REVISITING, max_terms=48)
+
+
+def test_parked_set_is_pinned():
+    with pytest.raises(ParkedTermsError) as err:
+        reduce_to_mzv(PARKING)
+    assert err.value.terms == [
+        {"rows": [[1, 4], [2, 3], [3, 3], [4, 4]], "exponents": [3, 1, 1, 1],
+         "coefficient": "1"},
+        {"rows": [[1, 4], [2, 3], [3, 3], [3, 4]], "exponents": [3, 1, 1, 1],
+         "coefficient": "-1"},
+    ]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,3 +67,80 @@ def test_missing_member_raises():
     cir = CircuitDependency((0, 2), (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         cir.coefficient_of(1)
+
+
+# ---------------------------------------------------------------------------
+# integer elimination against elimination over Fraction
+
+
+def reference_circuit(columns, must_contain=None):
+    """Gaussian elimination over Fraction: the circuit find_circuit must
+    return, as (members, coefficients) or None, and the rank of the columns
+    (meaningful without ``must_contain``)."""
+    basis = []  # (reduced vector, its expansion over the input columns)
+
+    def reduce(j, col):
+        v, rep = [Fraction(x) for x in col], {j: Fraction(1)}
+        for bv, brep in basis:
+            p = next(i for i, x in enumerate(bv) if x)
+            f = v[p] / bv[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, bv)]
+                for k, c in brep.items():
+                    rep[k] = rep.get(k, 0) - f * c
+        if any(v):
+            basis.append((v, rep))
+            return None
+        members = tuple(sorted(k for k, c in rep.items() if c))
+        return members, tuple(rep[m] / rep[members[0]] for m in members)
+
+    circuit = None
+    for j, col in enumerate(columns):
+        if j == must_contain:
+            continue
+        if not any(col):
+            if must_contain is None and circuit is None:
+                circuit = ((j,), (Fraction(1),))
+            continue
+        rep = reduce(j, col)
+        if must_contain is None and circuit is None:
+            circuit = rep
+    if must_contain is not None:
+        target = columns[must_contain]
+        if any(target):
+            circuit = reduce(must_contain, target)
+        else:
+            circuit = ((must_contain,), (Fraction(1),))
+    return circuit, len(basis)
+
+
+def random_columns(rng):
+    dim, width = rng.randint(1, 5), rng.randint(1, 7)
+    kind = rng.choice(("01", "small", "fraction"))
+
+    def entry():
+        if kind == "01":
+            return rng.randint(0, 1)
+        if kind == "small":
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    cols = [tuple(entry() for _ in range(dim)) for _ in range(width)]
+    if rng.random() < 0.2:
+        cols[rng.randrange(width)] = (0,) * dim
+    return cols
+
+
+def test_integer_elimination_matches_fraction_elimination():
+    def pair(circuit):
+        return circuit and (circuit.members, circuit.coefficients)
+
+    rng = random.Random(20261018)
+    for _ in range(500):
+        cols = random_columns(rng)
+        want, want_rank = reference_circuit(cols)
+        assert pair(find_circuit(cols)) == want, cols
+        assert rank(cols) == want_rank, cols
+        j = rng.randrange(len(cols))
+        want, _ = reference_circuit(cols, must_contain=j)
+        assert pair(find_circuit(cols, must_contain=j)) == want, cols
