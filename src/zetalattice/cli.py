@@ -292,7 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("eval", cmd_eval, "numeric value of a convergent term")
-    sp.add_argument("--N", type=int, default=None, help="summation cutoff")
+    sp.add_argument(
+        "--N",
+        type=int,
+        default=None,
+        help="cutoff of the box of all rows but the one summed to infinity",
+    )
 
     sp = add("check", cmd_check, "reduce, then compare numerics on both sides")
     sp.add_argument("--N", type=int, default=None)

@@ -42,7 +42,9 @@ The merge step splits two adjacent rows harmonically; the second and third
 parts keep their shape, while the first part (two rows sharing a start --
 undoing it naively would just invert the split) gets a fresh exponent-0
 column, a partial fraction pivoted there, and full renormalization.  A
-global term budget guards the whole loop.
+global term budget guards the whole loop: every pop, every pass of a merge's
+inner loop and every tick of a compensation kernel's nested reduction, which
+gets only the budget its caller has left.
 
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
@@ -51,7 +53,8 @@ coefficient and compensation word is the input coefficient times a rational
 fixed by the shape.  So each call keeps a table, dropped when the call
 returns, from every popped shape to its expansion measured at the
 coefficient of its first visit: the trace records, the canonical outputs
-with their term_key, the words, the budget ticks of a merge, or the fact
+with their term_key, the words, the budget ticks beyond the pop (a merge's
+inner loop and a compensation kernel's nested reduction), or the fact
 that the term parks.  A later pop of the same shape makes no new search; the
 driver applies the stored expansion times lam = c_new / c_first through the
 same path a first visit takes with lam = 1, so the trace, the combination
@@ -140,9 +143,9 @@ class ReductionResult:
 
 
 class _Budget:
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, used: int = 0):
         self.cap = cap
-        self.used = 0
+        self.used = used
 
     def tick(self, n: int = 1) -> None:
         self.used += n
@@ -392,7 +395,8 @@ class _Expansion:
     coefficient of its first visit: the trace records, the canonical outputs
     paired with their term_key, the words added to the combination (the
     emitted word or the compensation words), the budget ticks of a merge's
-    inner loop, or the fact that the term parks."""
+    inner loop and of a compensation kernel's reduction, or the fact that the
+    term parks."""
 
     coefficient: Rat
     records: list[TraceRecord] = field(default_factory=list)
@@ -414,12 +418,15 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
 
 
 def _expand(
-    t: Term, formal: bool, max_terms: int, verify: bool, seed: int
+    t: Term, formal: bool, budget: _Budget, verify: bool, seed: int
 ) -> _Expansion:
     """Choose and make the move for a popped term ``t`` (see the module
     docstring for the priority), without touching the driver's state; the
-    last three arguments go to the reduction of a compensation kernel."""
+    last three arguments go to the reduction of a compensation kernel.  The
+    work a move does beyond the pop is charged to a copy of ``budget``, so it
+    gets only what is left, and counted in the expansion's ticks."""
     exp = _Expansion(t.coefficient)
+    spent = _Budget(budget.cap, budget.used)
     if is_chain(t):
         word, coeff = to_mzv(t)
         exp.records.append(
@@ -454,7 +461,7 @@ def _expand(
             sub,
             inverse=outs is not None,
             coefficient=t.coefficient,
-            max_terms=max_terms,
+            _budget=spent,
             verify=verify,
             seed=seed,
         )
@@ -466,10 +473,9 @@ def _expand(
         exp.records.append(TraceRecord("inverse_hp", t, tuple(outs), params))
         exp.outputs = _keyed(outs)
     else:
-        loop = _Budget(max_terms)
-        merged = merge_step(t, a, b, exp.records.append, loop, wparams)
+        merged = merge_step(t, a, b, exp.records.append, spent, wparams)
         exp.outputs = merged.keyed_terms()
-        exp.ticks = loop.used
+    exp.ticks = spent.used - budget.used
     return exp
 
 
@@ -499,10 +505,14 @@ def reduce_to_mzv(
     max_terms: int = 100_000,
     verify: bool = False,
     seed: int = 0,
+    *,
+    _budget: Optional[_Budget] = None,
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
     of the same weight.  With ``verify=True`` every recorded move is replayed
-    through the exact per-step checks as it happens."""
+    through the exact per-step checks as it happens.  A compensation
+    kernel's reduction passes its caller's remaining budget as ``_budget``
+    in place of a fresh one of ``max_terms``."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
     pending = Expression(_source_terms(source))
@@ -512,7 +522,7 @@ def reduce_to_mzv(
     input_convergent = all(converges(t) for t in pending)
 
     trace = ReductionTrace()
-    budget = _Budget(max_terms)
+    budget = _Budget(max_terms) if _budget is None else _budget
     checker = None
     if verify:
         from . import numeric  # local import keeps layering one-way
@@ -539,7 +549,7 @@ def reduce_to_mzv(
         exp = expansions.get(shape)
         if exp is None:
             exp = expansions[shape] = _expand(
-                t, not input_convergent, max_terms, verify, seed
+                t, not input_convergent, budget, verify, seed
             )
         if exp.parks:
             parked[term_key(t)] = t

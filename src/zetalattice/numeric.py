@@ -2,14 +2,16 @@
 
 Two kinds of checks live here, at different levels of trust:
 
-* whole-value checks: partial sums of a term's lattice series over the box
-  [1, N]^depth, extrapolated in the cutoff, against the evaluated word
-  combination the engine produced.  One row variable is summed over [1, N] in
-  closed form (partial fractions in that variable, then cumulative
-  generalized-harmonic tables), so a partial sum costs O(N^(depth-1)).  The
-  other rows span a broadcast integer grid swept in slabs, and one sweep of
-  the largest box gives the partial sums at every extrapolation cutoff: the
-  smaller boxes are slices of the same slabs.  Approximate, tolerance-based.
+* whole-value checks: partial sums of a term's lattice series, extrapolated
+  in the cutoff N, against the evaluated word combination the engine
+  produced.  One row variable, one with the latest start, is summed over
+  [1, inf) in closed form (partial fractions in that variable, then tails of
+  zeta(j) read from reverse cumulative tables); the other rows span the box
+  [1, N]^(depth-1), a broadcast integer grid swept in slabs, so a partial sum
+  costs O(N^(depth-1)) and depth 1 is zeta(K) outright.  The summand does not
+  depend on N, so one sweep of the largest box gives the partial sums at
+  every extrapolation cutoff as slices of the same slabs.  Approximate,
+  tolerance-based.
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
   (partial fractions, auxiliary columns) or as an explicit bijection between
@@ -54,6 +56,10 @@ def default_cutoff(depth: int) -> int:
 
 @dataclass
 class EvalReport:
+    """A series value extrapolated in ``cutoff``: for a term, the box
+    [1, cutoff]^(depth-1) of the rows other than the one summed to infinity;
+    for a word, the bound on its summation variables."""
+
     value: float
     cutoff: int
     extrapolated: bool
@@ -90,36 +96,78 @@ def _extrapolate(ns: Sequence[int], vals: Sequence[float]) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# term evaluation: the box [1, N]^depth with one row summed in closed form
+# term evaluation: the other rows in the box [1, N]^(depth-1), one row summed
+# to infinity in closed form
 #
 # Fix the other rows at x.  Every column covering the summed row y has the
 # form sigma_g(x) + y, where the shift sigma_g sums the other rows covering
 # it; grouping those columns by shift, the y-factor of the kernel is
 # prod_g (sigma_g + y)^(-K_g).  Partial fractions in y rewrite it as
-# sum_{g,j} A_gj (sigma_g + y)^(-j), and
-# sum_{y=1}^{N} (sigma + y)^(-j) = H_j(sigma + N) - H_j(sigma) is read from
-# cumulative tables of H_j(m) = sum_{i<=m} i^(-j).
+# sum_{g,j} A_gj (sigma_g + y)^(-j), and for j >= 2
+# sum_{y>=1} (sigma + y)^(-j) = T_j(sigma) = sum_{i>sigma} i^(-j).  The
+# summed row alone carries mass sum_g K_g >= 2, so the simple poles' residues
+# cancel, sum_g A_g1 = 0, and the j = 1 part is -sum_g A_g1 H_1(sigma_g).
 #
 # The summed row is one with the latest start.  Every other row covering one
 # of its columns c starts no later, so it covers c iff it ends at or after c:
 # the shift row sets shrink as c grows, two shifts always differ by at least
 # one n_i >= 1, and the partial fractions never meet a repeated pole.
 
+_TAIL_TABLE_MIN = 64  # from L = 64 on, the remainder in _tails errs by < 1e-17
+
+
+def _tails(K: int, top: int) -> dict[int, np.ndarray]:
+    """tail[j][s] for s = 0..top: T_j(s) = sum_{i>s} i^(-j) for 2 <= j <= K,
+    and -H_1(s) for j = 1.  T_j is a reverse cumulative sum up to
+    L >= top plus the Euler-Maclaurin remainder sum_{i>L} i^(-j)."""
+    L = max(top, _TAIL_TABLE_MIN)
+    inv = 1.0 / np.arange(1.0, L + 1.0)
+    tail = {1: -np.concatenate(([0.0], np.cumsum(inv[:top])))}
+    for j in range(2, K + 1):
+        rest = L ** (1.0 - j) / (j - 1) - L ** (-j) / 2.0
+        rest += j * L ** (-j - 1.0) / 12.0
+        rest -= j * (j + 1) * (j + 2) * L ** (-j - 3.0) / 720.0
+        rest += j * (j + 1) * (j + 2) * (j + 3) * (j + 4) * L ** (-j - 5.0) / 30240.0
+        rev = np.cumsum(_power(inv, j)[::-1])[::-1]  # rev[s] = sum_{s<i<=L} i^(-j)
+        tail[j] = np.concatenate((rev, [0.0]))[: top + 1] + rest
+    return tail
+
+
+def _power(a: np.ndarray, k: int) -> np.ndarray:
+    """a**k for an integer k >= 1 as k - 1 products, which numpy's power
+    does not use for k >= 3."""
+    out = a
+    for _ in range(k - 1):
+        out = out * a
+    return out
+
+
+def _series_product(a: list, b: list) -> list:
+    """The product of two power series with constant term 1, truncated to
+    len(a) coefficients."""
+    return [1.0] + [
+        sum((a[i] * b[m - i] for i in range(1, m)), a[m] + b[m])
+        for m in range(1, len(a))
+    ]
+
 
 def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
-    """coefficient * sum over n in [1, M]^depth of the kernel, for every
+    """coefficient * the sum of the kernel over [1, M]^(depth-1) x [1, inf),
+    the summed row (one with the latest start) running to infinity, for every
     cutoff M in ns, from one sweep of the largest box in O(N^(depth-1))
     work.  The other rows are the axes of a broadcast integer grid, cut into
-    slabs of about _CHUNK points along the first axis; the shifts, the
-    partial-fraction coefficients and the factors of the columns outside the
-    summed row are computed once per slab, and the box of each smaller cutoff
-    is a slice of that slab."""
+    slabs of about _CHUNK points along the first axis.  The summand does not
+    depend on the cutoff: each slab is evaluated once, and the box of each
+    cutoff is a slice of it.  At depth 1 there are no other rows and the sum
+    is coefficient * zeta(K) at every cutoff."""
     d = t.depth
     r = max(range(d), key=lambda i: t.pattern.rows[i][0])
     others = [i for i in range(d) if i != r]
     shifts: dict[int, int] = {}  # shift row mask -> exponent, columns in r
     rest = []  # (covering row mask, exponent), columns outside r
     for mask, k in zip(t.pattern.cover, t.exponents):
+        if not k:
+            continue  # L^0 = 1
         if mask >> r & 1:
             shift = mask & ~(1 << r)
             shifts[shift] = shifts.get(shift, 0) + k
@@ -128,12 +176,7 @@ def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
     Ks = list(shifts.values())
 
     N = max(ns)
-    top = N * (1 + max(bin(s).count("1") for s in shifts))
-    inv = 1.0 / np.arange(1.0, top + 1.0)
-    H = {
-        j: np.concatenate(([0.0], np.cumsum(inv**j)))
-        for j in range(1, max(Ks) + 1)
-    }
+    tail = _tails(max(Ks), N * max(bin(s).count("1") for s in shifts))
 
     step = max(1, _CHUNK // N ** max(d - 2, 0))
     unit = (1,) * (d - 1)
@@ -149,37 +192,48 @@ def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
             sum((x[i] for i in others if s >> i & 1), np.zeros(unit, dtype=int))
             for s in shifts
         ]
-        coefs = []
+        # q[g, h] = 1 / (sigma_h - sigma_g) for g < h; q_hg = -q_gh
+        q = {
+            (g, h): 1.0 / (sigma[h] - sigma[g])
+            for g, h in itertools.combinations(range(len(Ks)), 2)
+        }
+        ysum = np.zeros(tuple(hi - lo if p == 0 else N for p in range(d - 1)))
         for g, (sg, Kg) in enumerate(zip(sigma, Ks)):
-            # coef[m] = A_{g,Kg-m} = [u^m] prod_{h!=g} (sigma_h - sigma_g + u)^(-K_h)
-            coef = [np.ones(unit)] + [np.zeros(unit)] * (Kg - 1)
-            for h, (sh, Kh) in enumerate(zip(sigma, Ks)):
+            # A_{g,Kg-m} = [u^m] prod_{h!=g} (sigma_h - sigma_g + u)^(-K_h)
+            #            = sign * lead * coef[m], where
+            # lead = prod |q_gh|^K_h and (1 + q_gh u)^(-K_h) has the
+            # coefficients C(K_h+m-1, m) (-q_gh)^m
+            sign, lead, coef = 1, 1.0, None  # coef None: the series 1
+            for h, Kh in enumerate(Ks):
                 if h == g:
                     continue
-                q = 1.0 / (sh - sg)
-                series = [
-                    math.comb(Kh + m - 1, m) * (-q) ** m * q**Kh
-                    for m in range(Kg)
-                ]
-                coef = [
-                    sum(coef[a] * series[m - a] for a in range(m + 1))
-                    for m in range(Kg)
-                ]
-            coefs.append(coef)
-        factor = np.ones(tuple(hi - lo if p == 0 else N for p in range(d - 1)))
-        for mask, k in rest:
-            form = sum(x[i] for i in others if mask >> i & 1)
-            factor = factor * np.power(form.astype(float), float(-k))
+                qh, s = (q[g, h], 1) if g < h else (q[h, g], -1)
+                sign *= s**Kh
+                lead = lead * _power(qh, Kh)
+                series = [1.0]
+                for m in range(1, Kg):
+                    power = qh if m == 1 else power * qh
+                    series.append(power * (math.comb(Kh + m - 1, m) * (-s) ** m))
+                coef = series if coef is None else _series_product(coef, series)
+            inner = tail[Kg][sg]
+            if coef is not None:
+                for m in range(1, Kg):
+                    inner = inner + coef[m] * tail[Kg - m][sg]
+            if sign > 0:
+                ysum += lead * inner
+            else:
+                ysum -= lead * inner
+        if rest:
+            den = 1.0
+            for mask, k in rest:
+                form = sum(x[i] for i in others if mask >> i & 1).astype(float)
+                den = den * _power(form, k)
+            ysum /= den
         for cut, n in enumerate(ns):
             if lo >= n:
                 continue  # the slab starts past this cutoff
             box = tuple(slice(0, n - lo if p == 0 else n) for p in range(d - 1))
-            ysum = np.zeros(factor[box].shape)
-            for sg, Kg, coef in zip(sigma, Ks, coefs):
-                sb = sg[box]
-                for m, A in enumerate(coef):
-                    ysum += A[box] * (H[Kg - m][sb + n] - H[Kg - m][sb])
-            pieces[cut].append(float((ysum * factor[box]).sum()))
+            pieces[cut].append(float(ysum[box].sum()))
     return [float(t.coefficient) * math.fsum(part) for part in pieces]
 
 

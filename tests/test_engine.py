@@ -258,6 +258,26 @@ def test_budget_counts_every_revisit():
         reduce_to_mzv(REVISITING, max_terms=48)
 
 
+@pytest.mark.parametrize(
+    "t, smallest",
+    [
+        # four compensated splits, each reducing a one-pop kernel; 267
+        # sufficed while the nested ticks went uncharged
+        (term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1]), 271),
+        # three compensated shapes, one of them replayed: four nested
+        # reductions' ticks, 128 uncharged
+        (term([(1, 3), (2, 4), (3, 3), (4, 4)], [1, 1, 2, 2]), 132),
+    ],
+    ids=["chain4", "replayed"],
+)
+def test_budget_charges_nested_compensation_reductions(t, smallest):
+    # a compensated split reduces its leftover kernel with what is left of
+    # the caller's budget, and charges those ticks on every visit
+    reduce_to_mzv(t, max_terms=smallest)
+    with pytest.raises(TermBudgetExceeded):
+        reduce_to_mzv(t, max_terms=smallest - 1)
+
+
 def test_parked_set_is_pinned():
     with pytest.raises(ParkedTermsError) as err:
         reduce_to_mzv(PARKING)

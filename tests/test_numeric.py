@@ -1,6 +1,9 @@
+import decimal
 import itertools
 import math
 import random
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as Rat
 
 import pytest
@@ -57,6 +60,28 @@ def test_eval_term_depth_three_default_cutoff():
 
 
 @pytest.mark.parametrize(
+    "t, value",
+    [
+        (term([(1, 1)], [2]), ZETA2),
+        (term([(1, 3)], [2, 2, 2]), math.pi**6 / 945),
+    ],
+    ids=["zeta2", "zeta6"],
+)
+def test_depth_one_is_zeta_of_the_mass_without_a_cutoff_table(t, value):
+    # the summed row is the only row: its sum to infinity is zeta(K) at every
+    # cutoff, from a table that does not grow with the 10^6 default cutoff
+    tracemalloc.start()
+    try:
+        rep = eval_term(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cutoff == 1_000_000
+    assert peak < 1 << 20
+    assert abs(rep.value - value) <= 1e-14 * value
+
+
+@pytest.mark.parametrize(
     "t, N",
     [
         (term([(1, 1)], [3]), 7),
@@ -72,19 +97,82 @@ def test_eval_term_depth_three_default_cutoff():
 )
 def test_partial_sum_matches_the_exact_box_sum(t, N):
     ns = [n for n in (1, 2, 3, 5, 7) if n <= N]
-    for n, exact, got in zip(ns, exact_box_sums(t, ns), _partial_sums(t, ns)):
-        assert abs(got - float(exact)) <= 1e-10 * abs(float(exact)), n
+    for n, exact, got in zip(ns, exact_partial_sums(t, ns), _partial_sums(t, ns)):
+        assert abs(got - exact) <= 1e-10 * abs(exact), n
 
 
-def exact_box_sums(t, ns):
-    """The exact sum of the kernel over [1, n]^depth for each n in ns."""
-    sums = [Rat(0)] * len(ns)
-    for point in itertools.product(range(1, max(ns) + 1), repeat=t.depth):
-        value = kernel_at(t, [Rat(v) for v in point])
+# zeta(j) to 30 digits: the references below are rationals plus rational
+# multiples of these
+ZETA_DIGITS = {
+    2: "1.64493406684822643647241516665",
+    3: "1.20205690315959428539973816151",
+    4: "1.08232323371113819151600369654",
+    5: "1.03692775514336992633136548646",
+    6: "1.01734306198444913971451792979",
+    7: "1.00834927738192282683979754985",
+    8: "1.00407735619794433937868523851",
+}
+
+
+def solve_exact(rows, rhs):
+    """Gauss-Jordan elimination over Fraction for a square regular system."""
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    n = len(m)
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[c])]
+    return [row[-1] for row in m]
+
+
+def harmonic(j, s):
+    return sum((Rat(1, i**j) for i in range(1, s + 1)), start=Rat(0))
+
+
+def exact_partial_sums(t, ns):
+    """The sum of the kernel over [1, n]^(depth-1) x [1, inf) for each n in
+    ns, the row with the latest start running to infinity.  At each point x
+    of the other rows, the kernel is a rational function of that row's y with
+    a pole at -s for each distinct shift s; its partial-fraction coefficients
+    A_sj are solved exactly from samples of kernel_at at y = 1..(degree), and
+    sum_{y>=1} (s + y)^(-j) = zeta(j) - H_j(s) for j >= 2.  The simple poles'
+    coefficients must cancel.  Rational and zeta parts are combined in
+    40-digit decimals."""
+    d = t.depth
+    rows = t.pattern.rows
+    r = max(range(d), key=lambda i: rows[i][0])
+    others = [i for i in range(d) if i != r]
+    mine = range(rows[r][0], rows[r][1] + 1)
+    rational = [Rat(0)] * len(ns)
+    zetas = [dict() for _ in ns]
+    for x in itertools.product(range(1, max(ns) + 1), repeat=d - 1):
+        mass: dict[int, int] = {}  # shift -> exponent of its columns
+        for c, k in zip(mine, t.exponents[rows[r][0] - 1 : rows[r][1]]):
+            s = sum(v for i, v in zip(others, x) if rows[i][0] <= c <= rows[i][1])
+            mass[s] = mass.get(s, 0) + k
+        unknowns = [(s, j) for s, K in mass.items() for j in range(1, K + 1)]
+        samples = range(1, len(unknowns) + 1)
+        A = solve_exact(
+            [[Rat(1, (s + y) ** j) for s, j in unknowns] for y in samples],
+            [kernel_at(t, [Rat(v) for v in (*x[:r], y, *x[r:])]) for y in samples],
+        )
+        assert sum(a for (_, j), a in zip(unknowns, A) if j == 1) == 0
         for k, n in enumerate(ns):
-            if max(point) <= n:
-                sums[k] += value
-    return sums
+            if max(x, default=1) <= n:
+                for (s, j), a in zip(unknowns, A):
+                    rational[k] -= a * harmonic(j, s)
+                    if j >= 2:
+                        zetas[k][j] = zetas[k].get(j, Rat(0)) + a
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        frac = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+        return [
+            float(frac(q) + sum(frac(a) * Decimal(ZETA_DIGITS[j]) for j, a in z.items()))
+            for q, z in zip(rational, zetas)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -101,8 +189,8 @@ def test_partial_sums_span_several_slabs(t, monkeypatch):
     # the smaller cutoffs skip the slabs that start past them
     monkeypatch.setattr(numeric, "_CHUNK", 3)
     ns = [2, 3, 5, 7]
-    for n, exact, got in zip(ns, exact_box_sums(t, ns), _partial_sums(t, ns)):
-        assert abs(got - float(exact)) <= 1e-10 * abs(float(exact)), n
+    for n, exact, got in zip(ns, exact_partial_sums(t, ns), _partial_sums(t, ns)):
+        assert abs(got - exact) <= 1e-10 * abs(exact), n
 
 
 def test_divergent_inputs_are_refused():
