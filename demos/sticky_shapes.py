@@ -27,12 +27,13 @@ print("result:", render_combination(res.combination))
 print()
 
 for rec in res.trace.records:
-    payload = rec.params.get("comp_words")
-    if payload:
+    if len(rec.outputs) == 4:
+        boundary = rec.outputs[3]
         print("compensated split found in the log:")
-        print("  move :", rec.move, "on", rec.input)
-        for word, coeff in payload:
-            print(f"  adds  {coeff} * zeta(" + ",".join(map(str, word)) + ")")
+        print("  move     :", rec.move, "on", rec.input)
+        print("  boundary :", boundary)
+        words = reduce_to_mzv(boundary).combination
+        print("  reduces to", render_combination(words))
 print()
 
 assert trace_replay(t, res.trace) == res.combination

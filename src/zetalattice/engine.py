@@ -17,8 +17,9 @@ Every popped term goes through a fixed priority of moves:
    b. every split whose boundary tends to an exact *constant* -- the pair
       carries exponent mass exactly two and the leftover kernel on the
       untouched rows and columns converges.  It is applied anyway, and the
-      constant (zeta(2) times the leftover kernel, an exact stuffle
-      combination of admissible words) is emitted alongside;
+      constant, zeta(2) times the leftover kernel, is booked as a fourth
+      output of the split: the direct sum of the two, a term of the input's
+      weight that the pool reduces like any other;
    c. for divergent inputs only, where the reduction is formal (regularized
       bookkeeping): the inverse splits and the staircase repair, with the
       guard waived.
@@ -42,24 +43,23 @@ The merge step splits two adjacent rows harmonically; the second and third
 parts keep their shape, while the first part (two rows sharing a start --
 undoing it naively would just invert the split) gets a fresh exponent-0
 column, a partial fraction pivoted there, and full renormalization.  A
-global term budget guards the whole loop: every pop, every pass of a merge's
-inner loop and every tick of a compensation kernel's nested reduction, which
-gets only the budget its caller has left.
+global term budget guards the whole loop: every pop and every pass of a
+merge's inner loop.  Words come only from emits, and reduce_to_mzv never
+calls itself.
 
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
-alone (pattern and exponents), and every output coefficient, emitted
-coefficient and compensation word is the input coefficient times a rational
-fixed by the shape.  So each call keeps a table, dropped when the call
-returns, from every popped shape to its expansion measured at the
-coefficient of its first visit: the trace records, the canonical outputs
-with their term_key, the words, the budget ticks beyond the pop (a merge's
-inner loop and a compensation kernel's nested reduction), or the fact
-that the term parks.  A later pop of the same shape makes no new search; the
-driver applies the stored expansion times lam = c_new / c_first through the
-same path a first visit takes with lam = 1, so the trace, the combination
-and every counter are those of expanding the shape afresh.  With
-``verify=True`` every applied record is still checked, replays included.
+alone (pattern and exponents), and every output coefficient and emitted
+coefficient is the input coefficient times a rational fixed by the shape.
+So each call keeps a table, dropped when the call returns, from every popped
+shape to its expansion measured at the coefficient of its first visit: the
+trace records, the canonical outputs with their term_key, the emitted word,
+the passes of a merge's inner loop, or the fact that the term parks.  A
+later pop of the same shape makes no new search; the driver applies the
+stored expansion times lam = c_new / c_first through the same path a first
+visit takes with lam = 1, so the trace, the combination and every counter
+are those of expanding the shape afresh.  With ``verify=True`` every applied
+record is still checked, replays included.
 """
 
 from __future__ import annotations
@@ -92,12 +92,14 @@ from .terms import (
     MZVCombination,
     Rat,
     Term,
+    Word,
     canonical_term,
     comb_add,
     converges,
+    direct_sum,
+    from_mzv,
     is_admissible,
     is_chain,
-    stuffle_words,
     subset_masses,
     term as build_term,
     term_key,
@@ -143,9 +145,9 @@ class ReductionResult:
 
 
 class _Budget:
-    def __init__(self, cap: int, used: int = 0):
+    def __init__(self, cap: int):
         self.cap = cap
-        self.used = used
+        self.used = 0
 
     def tick(self, n: int = 1) -> None:
         self.used += n
@@ -248,6 +250,18 @@ def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
     return sub
 
 
+def boundary_term(src: Term, a: int, b: int) -> Optional[Term]:
+    """The constant truncation boundary of a harmonic split of the disjoint
+    rows a and b of ``src`` (0-based) as a term, oriented as the fourth
+    output of forward_hp(src, a, b): minus src's coefficient times the
+    direct sum of zeta(2) and the leftover kernel (see _comp_subterm), of
+    the weight of ``src``.  None when the boundary has no such constant."""
+    sub = _comp_subterm(src, a, b)
+    if sub is None:
+        return None
+    return direct_sum(from_mzv((2,)), sub).scaled(-src.coefficient)
+
+
 def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
     """Whether the truncation boundary of a harmonic split of rows a and b
     (0-based indices into ``t``) vanishes as the box cutoff B grows.
@@ -283,11 +297,11 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
 
 def guarded_moves(t: Term, formal: bool):
     """Every split the boundary guard admits on ``t``, lazily and in priority
-    order, as (a, b, inverse_hp outputs or None for a merge, leftover kernel
-    or None): first every split whose boundary vanishes, led by the
-    staircase repair (a triangular term has distinct starts, so it never has
-    inverse splits to overtake); then every split whose boundary tends to
-    zeta(2) times the convergent leftover kernel; then, only when
+    order, as (a, b, inverse_hp outputs or None for a merge, boundary_term of
+    the forward split or None): first every split whose boundary vanishes,
+    led by the staircase repair (a triangular term has distinct starts, so it
+    never has inverse splits to overtake); then every split whose boundary
+    tends to zeta(2) times the convergent leftover kernel; then, only when
     ``formal``, the inverse splits and the staircase repair with the guard
     waived."""
     place = first_mismatch(t)
@@ -296,28 +310,13 @@ def guarded_moves(t: Term, formal: bool):
         if split_defect_vanishes(src, a, b):
             yield a, b, outs, None
     for a, b, src, outs in _split_candidates(t):
-        sub = _comp_subterm(src, a, b)
-        if sub is not None:
-            yield a, b, outs, sub
+        boundary = boundary_term(src, a, b)
+        if boundary is not None:
+            yield a, b, outs, boundary
     if formal:
         inverse = (c for c in _split_candidates(t) if c[3] is not None)
         for a, b, _, outs in itertools.chain(inverse, leads):
             yield a, b, outs, None
-
-
-def _comp_words(
-    sub: Term, inverse: bool, coefficient: Rat, **reduce_args
-) -> MZVCombination:
-    """The boundary constant of a compensated split as exact words: zeta(2)
-    stuffled with the reduction of the leftover kernel ``sub``, times the
-    split term's coefficient, negated for a forward split (an inverse split
-    books the corner with the opposite orientation)."""
-    scale = coefficient if inverse else -coefficient
-    words: MZVCombination = {}
-    for w, c in reduce_to_mzv(sub, **reduce_args).combination.items():
-        for sw, m in stuffle_words((2,), w).items():
-            comb_add(words, sw, scale * c * m)
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +328,7 @@ def merge_step(
     a: int,
     b: int,
     recorder: Callable,
-    budget: Optional[_Budget] = None,
-    comp_words: Optional[list] = None,
+    boundary: Optional[Term] = None,
 ) -> Expression:
     """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k]: one
     forward harmonic split, then the first part (which has two rows starting
@@ -340,17 +338,15 @@ def merge_step(
     are the only thing the loop changes, so the circuit found once stays
     valid and each pass moves one exponent unit onto the pivot, ending the
     loop after at most weight-many passes.  A generic pivot choice here can
-    invert the insertion and loop forever."""
+    invert the insertion and loop forever.  A compensated merge books its
+    ``boundary`` (see boundary_term) as the split's fourth output."""
     i = t.pattern.rows[a][0]
     j = t.pattern.rows[b][0]
-    out1, out2, out3 = forward_hp(t, a, b)
-    hp_params: dict = {"a": a, "b": b}
-    if comp_words is not None:
-        hp_params["comp_words"] = comp_words
-    recorder(TraceRecord("forward_hp", t, (out1, out2, out3), hp_params))
-    result = Expression()
-    result.add(out2)
-    result.add(out3)
+    out1, *rest = forward_hp(t, a, b)
+    if boundary is not None:
+        rest.append(boundary)
+    recorder(TraceRecord("forward_hp", t, (out1, *rest), {"a": a, "b": b}))
+    result = Expression(rest)
 
     c1 = canonical_term(out1)
     aux_t, aux_pos = insert_aux_column(c1, i, j)
@@ -365,8 +361,6 @@ def merge_step(
     }
     work = [aux_t]
     while work:
-        if budget is not None:
-            budget.tick()
         src = work.pop()
         outs = pf_step(src, circuit, aux_pos - 1)
         recorder(TraceRecord("pf_step", src, tuple(outs), dict(params)))
@@ -393,15 +387,13 @@ def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[T
 class _Expansion:
     """What the driver does with one popped shape, measured at the
     coefficient of its first visit: the trace records, the canonical outputs
-    paired with their term_key, the words added to the combination (the
-    emitted word or the compensation words), the budget ticks of a merge's
-    inner loop and of a compensation kernel's reduction, or the fact that the
-    term parks."""
+    paired with their term_key, the emitted word, the budget ticks of a
+    merge's inner loop, or the fact that the term parks."""
 
     coefficient: Rat
     records: list[TraceRecord] = field(default_factory=list)
     outputs: list[tuple[Term, tuple]] = field(default_factory=list)
-    words: MZVCombination = field(default_factory=dict)
+    word: Optional[Word] = None
     ticks: int = 0
     parks: bool = False
 
@@ -417,22 +409,16 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
     return keyed
 
 
-def _expand(
-    t: Term, formal: bool, budget: _Budget, verify: bool, seed: int
-) -> _Expansion:
+def _expand(t: Term, formal: bool) -> _Expansion:
     """Choose and make the move for a popped term ``t`` (see the module
-    docstring for the priority), without touching the driver's state; the
-    last three arguments go to the reduction of a compensation kernel.  The
-    work a move does beyond the pop is charged to a copy of ``budget``, so it
-    gets only what is left, and counted in the expansion's ticks."""
+    docstring for the priority), without touching the driver's state."""
     exp = _Expansion(t.coefficient)
-    spent = _Budget(budget.cap, budget.used)
     if is_chain(t):
         word, coeff = to_mzv(t)
         exp.records.append(
             TraceRecord("emit", t, (), {"word": list(word), "coeff": str(coeff)})
         )
-        exp.words[word] = coeff
+        exp.word = word
         return exp
 
     circuit = find_circuit(t.pattern.columns())
@@ -454,28 +440,20 @@ def _expand(
             raise ProgressViolation(f"no applicable move for {t}")
         exp.parks = True
         return exp
-    a, b, outs, sub = move
-    wparams = None
-    if sub is not None:
-        exp.words = _comp_words(
-            sub,
-            inverse=outs is not None,
-            coefficient=t.coefficient,
-            _budget=spent,
-            verify=verify,
-            seed=seed,
-        )
-        wparams = [[list(w), str(c)] for w, c in sorted(exp.words.items())]
+    a, b, outs, boundary = move
     if outs is not None:
+        if boundary is not None:
+            # t is the first output of the forward split of outs[0], whose
+            # boundary therefore enters t with the opposite sign
+            outs = (*outs, boundary.scaled(-1))
         params = {"a": a, "b": b}
-        if wparams is not None:
-            params["comp_words"] = wparams
-        exp.records.append(TraceRecord("inverse_hp", t, tuple(outs), params))
+        exp.records.append(TraceRecord("inverse_hp", t, outs, params))
         exp.outputs = _keyed(outs)
     else:
-        merged = merge_step(t, a, b, exp.records.append, spent, wparams)
+        merged = merge_step(t, a, b, exp.records.append, boundary)
         exp.outputs = merged.keyed_terms()
-    exp.ticks = spent.used - budget.used
+        # one tick per pass of the merge's inner loop: its pf_step records
+        exp.ticks = sum(rec.move == "pf_step" for rec in exp.records)
     return exp
 
 
@@ -484,14 +462,11 @@ def _scaled(t: Term, lam: Rat) -> Term:
 
 
 def _scaled_record(rec: TraceRecord, lam: Rat) -> TraceRecord:
-    """``rec`` with every coefficient times ``lam``: the input, the outputs,
-    an emitted coefficient and the compensation words."""
+    """``rec`` with every coefficient times ``lam``: the input, the outputs
+    and an emitted coefficient."""
     params = rec.params
     if "coeff" in params:
         params = {**params, "coeff": str(Rat(params["coeff"]) * lam)}
-    if "comp_words" in params:
-        words = [[w, str(Rat(c) * lam)] for w, c in params["comp_words"]]
-        params = {**params, "comp_words": words}
     return TraceRecord(
         rec.move,
         _scaled(rec.input, lam),
@@ -505,14 +480,10 @@ def reduce_to_mzv(
     max_terms: int = 100_000,
     verify: bool = False,
     seed: int = 0,
-    *,
-    _budget: Optional[_Budget] = None,
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
     of the same weight.  With ``verify=True`` every recorded move is replayed
-    through the exact per-step checks as it happens.  A compensation
-    kernel's reduction passes its caller's remaining budget as ``_budget``
-    in place of a fresh one of ``max_terms``."""
+    through the exact per-step checks as it happens."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
     pending = Expression(_source_terms(source))
@@ -522,7 +493,7 @@ def reduce_to_mzv(
     input_convergent = all(converges(t) for t in pending)
 
     trace = ReductionTrace()
-    budget = _Budget(max_terms) if _budget is None else _budget
+    budget = _Budget(max_terms)
     checker = None
     if verify:
         from . import numeric  # local import keeps layering one-way
@@ -548,21 +519,19 @@ def reduce_to_mzv(
         shape = (t.pattern.rows, t.exponents)
         exp = expansions.get(shape)
         if exp is None:
-            exp = expansions[shape] = _expand(
-                t, not input_convergent, budget, verify, seed
-            )
+            exp = expansions[shape] = _expand(t, not input_convergent)
         if exp.parks:
             parked[term_key(t)] = t
             continue
         # Every move is linear in the coefficient, so a revisit is the first
         # visit's expansion times lam; the first visit has lam = 1.
         lam = t.coefficient / exp.coefficient
+        budget.tick(exp.ticks)
         for rec in exp.records:
             rec = rec if lam == 1 else _scaled_record(rec, lam)
             trace.records.append(rec)
             if checker is not None:
                 checker(rec)
-        budget.tick(exp.ticks)
         for ct, key in exp.outputs:
             if lam != 1:
                 ct = _scaled(ct, lam)
@@ -572,8 +541,8 @@ def reduce_to_mzv(
                     pending.add_canonical(ct.with_coefficient(c), key)
             else:
                 pending.add_canonical(ct, key)
-        for w, c in exp.words.items():
-            comb_add(combo, w, c * lam)
+        if exp.word is not None:
+            comb_add(combo, exp.word, t.coefficient)
 
     if parked:
         shapes = "; ".join(str(u) for u in list(parked.values())[:3])
@@ -627,8 +596,6 @@ def trace_replay(
         else:
             for o in rec.outputs:
                 bump(o, 1)
-            for wl, cs in rec.params.get("comp_words", ()):
-                comb_add(combo, tuple(wl), Rat(cs))
     if state:
         raise CheckFailed(f"replay left {len(state)} unconsumed terms")
     return combo

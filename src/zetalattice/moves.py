@@ -29,6 +29,7 @@ the caller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import (
     ExponentUnderflow,
@@ -166,14 +167,22 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
     )
 
 
-def forward_split(rec: TraceRecord) -> tuple[Term, list[Term]]:
+def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], Optional[Term]]:
     """A harmonic-split record as (the term split forward, its three
-    forward_hp outputs): an inverse_hp record t = out1 - out2 - out3 is
-    forward_hp(out1) = (t, -out2, -out3)."""
+    forward_hp outputs, its boundary term or None).  Outputs 1-3 of a record
+    are the split; a compensated split books the constant that its
+    truncation boundary tends to as a fourth output (see
+    engine.boundary_term).  A record books its input as the sum of its
+    outputs, so an inverse_hp record t = o1 + o2 + o3 (+ o4) is the forward
+    split o1 = t - o2 - o3 (- o4)."""
+    outs = list(rec.outputs)
+    boundary = outs.pop() if len(outs) > 3 else None
     if rec.move == "forward_hp":
-        return rec.input, list(rec.outputs)
-    o1, o2, o3 = rec.outputs
-    return o1, [rec.input, o2.scaled(-1), o3.scaled(-1)]
+        return rec.input, outs, boundary
+    o1, *rest = outs
+    if boundary is not None:
+        boundary = boundary.scaled(-1)
+    return o1, [rec.input, *(o.scaled(-1) for o in rest)], boundary
 
 
 # ---------------------------------------------------------------------------

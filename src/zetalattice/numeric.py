@@ -330,7 +330,10 @@ def check_reduction(
     N: Optional[int] = None,
     word_N: int = 100_000,
 ) -> CheckReport:
-    """Compare the term's own series against the claimed word combination."""
+    """Compare the term's own series against the claimed word combination.
+    The tolerance must be finite and non-negative."""
+    if not 0 <= tol < math.inf:
+        raise ParseError(f"tolerance must be finite and non-negative, got {tol}")
     bad = [w for w, c in combination.items() if c != 0 and not is_admissible(w)]
     if bad:
         raise CheckFailed(f"combination contains divergent words {bad}")
@@ -445,21 +448,25 @@ def step_check_lattice(rec: TraceRecord) -> None:
     B = LATTICE_BOUND: the three case substitutions must biject onto the
     three output lattices with exact kernel equality point by point, compared
     as cross-multiplied integers.  Inverse splits are checked through their
-    forward reformulation (first output as the split term)."""
+    forward reformulation (first output as the split term).  A fourth
+    output, the boundary term, is only checked to have the depth of a
+    boundary term here; check_comp_words checks the term itself."""
     if rec.move not in ("forward_hp", "inverse_hp"):
         raise ValueError(f"no lattice check for move {rec.move!r}")
-    if len(rec.outputs) != 3:
+    if len(rec.outputs) not in (3, 4):
         raise CheckFailed(
-            f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, expected 3"
+            f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, "
+            "expected 3 or 4"
         )
-    src, outs = forward_split(rec)
+    src, outs, boundary = forward_split(rec)
     a, b = rec.params["a"], rec.params["b"]
     d = src.depth
-    depths = tuple(o.depth for o in outs)
-    if depths != (d, d, d - 1):
+    depths = tuple(o.depth for o in (*outs, boundary) if o is not None)
+    want = (d, d, d - 1, d - 1)[: len(depths)]
+    if depths != want:
         raise CheckFailed(
             f"{rec.move} of {rec.input}: split of a depth-{d} term has "
-            f"depths {depths}, expected {(d, d, d - 1)}"
+            f"depths {depths}, expected {want}"
         )
     _checked_split_map(a, b, d, LATTICE_BOUND)
     cs = src.coefficient
@@ -486,32 +493,23 @@ def step_check_lattice(rec: TraceRecord) -> None:
 
 
 def check_comp_words(rec: TraceRecord) -> None:
-    """Re-derive the boundary-constant words attached to a harmonic split
-    and compare them, as exact rationals, with what the record claims.
-
-    The constant of a compensated split is zeta(2) times the value of the
+    """Check the fourth output of a compensated harmonic split: it must be
+    the boundary term rebuilt from the split's shape, zeta(2) times the
     leftover kernel on the rows and columns the split pair does not touch,
-    negatively oriented for a forward split of the record input, positively
-    for an inverse split (whose forward source is the first output)."""
-    from .engine import _comp_subterm, _comp_words
-    from .terms import comb_add
+    oriented as in forward_split.  A split whose boundary vanishes has no
+    fourth output to carry."""
+    from .engine import boundary_term
 
-    src, _ = forward_split(rec)
-    sub = _comp_subterm(src, rec.params["a"], rec.params["b"])
-    if sub is None:
+    src, _, boundary = forward_split(rec)
+    want = boundary_term(src, rec.params["a"], rec.params["b"])
+    if want is None:
         raise CheckFailed(
             f"compensated split of {rec.input} has no constant boundary"
         )
-    words = _comp_words(
-        sub, inverse=rec.move == "inverse_hp", coefficient=rec.input.coefficient
-    )
-    recorded: MZVCombination = {}
-    for wl, cs in rec.params["comp_words"]:
-        comb_add(recorded, tuple(wl), Rat(cs))
-    if recorded != words:
+    if boundary != want:
         raise CheckFailed(
-            f"compensation words of {rec.input} do not re-derive: "
-            f"recorded {recorded}, expected {words}"
+            f"boundary term of the split of {rec.input} is {boundary}, "
+            f"expected {want}"
         )
 
 
@@ -522,7 +520,7 @@ def check_record(rec: TraceRecord, rng) -> None:
         step_check_rational(rec, rng)
     elif rec.move in ("forward_hp", "inverse_hp"):
         step_check_lattice(rec)
-        if rec.params.get("comp_words") is not None:
+        if len(rec.outputs) == 4:
             check_comp_words(rec)
     else:
         raise ValueError(f"unknown move {rec.move!r}")

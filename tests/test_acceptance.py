@@ -184,6 +184,4 @@ def test_criterion_8_idempotence_and_grading(corpus_reductions):
                 violations += sum(rec.params["word"]) != w
             else:
                 violations += sum(o.weight != w for o in rec.outputs)
-                for wl, _ in rec.params.get("comp_words", ()):
-                    violations += sum(wl) != w
     assert violations == 0

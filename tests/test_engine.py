@@ -5,6 +5,7 @@ import pytest
 from zetalattice import engine, numeric, terms
 from zetalattice.engine import (
     _comp_subterm,
+    boundary_term,
     first_mismatch,
     merge_step,
     reduce_to_mzv,
@@ -17,6 +18,7 @@ from zetalattice.errors import (
     ParseError,
     TermBudgetExceeded,
 )
+from zetalattice.moves import forward_split
 from zetalattice.terms import direct_sum, from_mzv, parse_term, term, term_to_json
 
 TORNHEIM = term([(1, 2), (2, 3)], [1, 1, 1])
@@ -99,7 +101,7 @@ def test_divergent_inputs_reduce_formally_and_replay():
     assert trace_replay(t, res.trace) == res.combination
     # with the guard waived, a merge is only ever the staircase repair
     for rec in res.trace.records:
-        if rec.move != "forward_hp" or "comp_words" in rec.params:
+        if rec.move != "forward_hp" or len(rec.outputs) == 4:
             continue
         a, b = rec.params["a"], rec.params["b"]
         if not split_defect_vanishes(rec.input, a, b):
@@ -146,10 +148,13 @@ def test_comp_subterm_extracts_the_constant_boundary():
     assert _comp_subterm(term(S, [3, 1, 1]), 0, 1) is None
 
 
+STICKY = term([(1, 1), (1, 2), (2, 3)], [2, 1, 2])
+
+
 def test_compensated_reduction_of_a_sticky_shape():
     # this input funnels through a split whose boundary does not vanish;
-    # the engine must add the compensation words and still verify per step
-    t = term([(1, 1), (1, 2), (2, 3)], [2, 1, 2])
+    # the engine must book the boundary term and still verify per step
+    t = STICKY
     res = reduce_to_mzv(t, verify=True)
     assert res.combination == {
         (2, 1, 2): Rat(-1),
@@ -158,10 +163,38 @@ def test_compensated_reduction_of_a_sticky_shape():
         (4, 1): Rat(-1),
         (5,): Rat(2),
     }
-    assert any(
-        r.params.get("comp_words") for r in res.trace.records
-    ), "expected at least one compensated split in the trace"
+    comp = [r for r in res.trace.records if len(r.outputs) == 4]
+    assert comp, "expected at least one compensated split in the trace"
+    for rec in comp:
+        # the fourth output is zeta(2) times the leftover kernel, as a term
+        # of the input's weight, and no record but an emit carries words
+        src, _, boundary = forward_split(rec)
+        assert boundary == boundary_term(src, rec.params["a"], rec.params["b"])
+        assert boundary.weight == rec.input.weight
+        assert set(rec.params) == {"a", "b"}
     assert trace_replay(t, res.trace) == res.combination
+
+
+def test_reduce_to_mzv_never_calls_itself(monkeypatch, corpus200):
+    entries = []
+    inner = engine.reduce_to_mzv
+
+    def counted(*args, **kwargs):
+        entries.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "reduce_to_mzv", counted)
+    compensated = []
+    for t in corpus200:
+        records = inner(t).trace.records
+        if any(len(r.outputs) == 4 for r in records):
+            compensated.append(t)
+    assert len(compensated) == 87
+    for verify in (False, True):
+        for t in [STICKY, *compensated]:
+            entries.clear()
+            engine.reduce_to_mzv(t, verify=verify)
+            assert entries == [t]
 
 
 def test_merge_step_outputs_share_the_input_weight():
@@ -203,16 +236,13 @@ def test_each_shape_is_expanded_once_per_call(monkeypatch):
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, counted)
-    # a compensated split reduces its leftover kernel in a nested call with
-    # its own table, so shapes are counted per pool; the set holds each
-    # pool, so no two pools share an identity
     pops, shapes = [], set()
     pop = terms.Expression.pop_smallest
 
     def counted_pop(pool):
         t = pop(pool)
         pops.append(t)
-        shapes.add((pool, t.pattern.rows, t.exponents))
+        shapes.add((t.pattern.rows, t.exponents))
         return t
 
     monkeypatch.setattr(terms.Expression, "pop_smallest", counted_pop)
@@ -261,18 +291,14 @@ def test_budget_counts_every_revisit():
 @pytest.mark.parametrize(
     "t, smallest",
     [
-        # four compensated splits, each reducing a one-pop kernel; 267
-        # sufficed while the nested ticks went uncharged
-        (term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1]), 271),
-        # three compensated shapes, one of them replayed: four nested
-        # reductions' ticks, 128 uncharged
-        (term([(1, 3), (2, 4), (3, 3), (4, 4)], [1, 1, 2, 2]), 132),
+        # four compensated splits, whose boundary terms the pool reduces
+        (term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1]), 286),
+        # three compensated shapes, one of them replayed: four boundary terms
+        (term([(1, 3), (2, 4), (3, 3), (4, 4)], [1, 1, 2, 2]), 157),
     ],
     ids=["chain4", "replayed"],
 )
-def test_budget_charges_nested_compensation_reductions(t, smallest):
-    # a compensated split reduces its leftover kernel with what is left of
-    # the caller's budget, and charges those ticks on every visit
+def test_budget_counts_the_pops_of_boundary_terms(t, smallest):
     reduce_to_mzv(t, max_terms=smallest)
     with pytest.raises(TermBudgetExceeded):
         reduce_to_mzv(t, max_terms=smallest - 1)

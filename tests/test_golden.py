@@ -1,34 +1,45 @@
 """Byte-level regression pins for two fixed input sets.
 
-Each digest covers, for each term in input order, the JSON of its word
-combination and the JSONL of its trace from a plain ``reduce_to_mzv``.
-corpus200 pins the convergent path; the divergent small terms pin formal
-mode, where the boundary guard is waived.  A change that alters either on
-purpose must say so and update the digest.
+Each full digest covers, for each term in input order, the JSON of its
+word combination and the JSONL of its trace from a plain ``reduce_to_mzv``;
+each words digest covers the combination JSON alone, so a change of the
+trace layout leaves it standing.  corpus200 pins the convergent path; the
+divergent small terms pin formal mode, where the boundary guard is waived.
+A change that alters either on purpose must say so and update the digest.
 """
 
 import hashlib
 import itertools
 import json
 
+import pytest
+
 from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import ZetaLatticeError
 from zetalattice.terms import combination_to_json, converges, term
 
-CORPUS200_DIGEST = "75340dc71dbb3b96e08d0473cdb33e3e43db923d3c8b774ceb0eda9d0b9ab59a"
+CORPUS200_DIGEST = "babeff992d71ef84b4e9c5b1a905a33f325ef3662516b31deea8b95328d9e8cc"
 DIVERGENT_SMALL_DIGEST = (
-    "d8d3e21076ce77c8ad7c04e74c91f39aa82c562983e8c00a540c49a34c4b7ad5"
+    "f6af75ab22e229991ab74c7d03e75593e4334098276b1b36f1259c4d31fde43e"
+)
+CORPUS200_WORDS_DIGEST = (
+    "52c89e0a1c441b1aa7b325805244f3a1da173b7da695eaa3942b094b74571f8e"
+)
+DIVERGENT_SMALL_WORDS_DIGEST = (
+    "7c7c9fb59eab8eecb8ae3ff7284c7dfee968be898cfef2f3e789618fb931abf5"
 )
 
 
-def corpus_digest(terms) -> str:
-    h = hashlib.sha256()
+def corpus_digests(terms) -> tuple[str, str]:
+    """(words digest, full digest) of ``terms`` in order."""
+    words, full = hashlib.sha256(), hashlib.sha256()
     for t in terms:
         res = reduce_to_mzv(t)
-        h.update(json.dumps(combination_to_json(res.combination), sort_keys=True).encode())
-        h.update(b"\n")
-        h.update(res.trace.to_json_lines().encode())
-    return h.hexdigest()
+        line = json.dumps(combination_to_json(res.combination), sort_keys=True)
+        words.update(line.encode() + b"\n")
+        full.update(line.encode() + b"\n")
+        full.update(res.trace.to_json_lines().encode())
+    return words.hexdigest(), full.hexdigest()
 
 
 def small_terms():
@@ -45,11 +56,33 @@ def small_terms():
                         pass
 
 
-def test_corpus200_combinations_and_traces_are_pinned(corpus200):
-    assert corpus_digest(corpus200) == CORPUS200_DIGEST
+@pytest.fixture(scope="module")
+def corpus200_digests(corpus200):
+    return corpus_digests(corpus200)
 
 
-def test_formal_reductions_of_divergent_small_terms_are_pinned():
+@pytest.fixture(scope="module")
+def divergent_small_digests():
     divergent = [t for t in small_terms() if not converges(t)]
     assert len(divergent) == 654
-    assert corpus_digest(divergent) == DIVERGENT_SMALL_DIGEST
+    return corpus_digests(divergent)
+
+
+def test_corpus200_combinations_are_pinned(corpus200_digests):
+    assert corpus200_digests[0] == CORPUS200_WORDS_DIGEST
+
+
+def test_corpus200_combinations_and_traces_are_pinned(corpus200_digests):
+    assert corpus200_digests[1] == CORPUS200_DIGEST
+
+
+def test_formal_combinations_of_divergent_small_terms_are_pinned(
+    divergent_small_digests,
+):
+    assert divergent_small_digests[0] == DIVERGENT_SMALL_WORDS_DIGEST
+
+
+def test_formal_reductions_of_divergent_small_terms_are_pinned(
+    divergent_small_digests,
+):
+    assert divergent_small_digests[1] == DIVERGENT_SMALL_DIGEST

@@ -309,27 +309,48 @@ def test_emit_check_catches_a_wrong_word():
         check_record(bad, rng=random.Random(0))
 
 
-def test_comp_word_check_catches_tampering():
-    t = term([(1, 1), (1, 2), (2, 3)], [2, 1, 2])
-    trace = reduce_to_mzv(t).trace
-    rec = next(r for r in trace.records if r.params.get("comp_words"))
-    check_comp_words(rec)  # genuine record passes
-    words = [list(pair) for pair in rec.params["comp_words"]]
-    words[0] = [words[0][0], str(Rat(words[0][1]) + 1)]
-    bad = TraceRecord(rec.move, rec.input, rec.outputs, dict(rec.params, comp_words=words))
-    with pytest.raises(CheckFailed):
-        check_comp_words(bad)
+def boundary_mutants(rec):
+    """``rec``, a compensated split, with its fourth output tampered with:
+    sign, scale, an exponent, and the split's own third output in its
+    place (same depth and weight)."""
+    *split, boundary = rec.outputs
+    exps = list(boundary.exponents)
+    exps[0] += 1
+    for bad in (
+        boundary.scaled(-1),
+        boundary.scaled(2),
+        Term(boundary.pattern, tuple(exps), boundary.coefficient),
+        split[2],
+    ):
+        yield TraceRecord(rec.move, rec.input, (*split, bad), rec.params)
+
+
+def test_comp_word_check_catches_tampering(corpus200):
+    records = [
+        r
+        for t in (SPLITS_BOTH_WAYS, corpus200[19])
+        for r in reduce_to_mzv(t).trace.records
+        if len(r.outputs) == 4
+    ]
+    assert {r.move for r in records} == {"forward_hp", "inverse_hp"}
+    for rec in records:
+        check_comp_words(rec)  # genuine record passes
+        for bad in boundary_mutants(rec):
+            with pytest.raises(CheckFailed, match="boundary term"):
+                check_comp_words(bad)
 
 
 def test_comp_word_check_refuses_sound_splits():
-    # a split whose boundary vanishes must not carry compensation words
-    _, trace = tornheim_trace()
+    # a split whose boundary vanishes must not carry a boundary term
+    t, trace = tornheim_trace()
     rec = next(r for r in trace.records if r.move == "forward_hp")
-    bad = TraceRecord(
-        rec.move, rec.input, rec.outputs, dict(rec.params, comp_words=[[[2], "1"]])
-    )
-    with pytest.raises(CheckFailed):
+    extra = from_mzv((3,)).scaled(-rec.input.coefficient)
+    bad = TraceRecord(rec.move, rec.input, (*rec.outputs, extra), rec.params)
+    step_check_lattice(bad)  # the split and the extra term's depth pass
+    with pytest.raises(CheckFailed, match="no constant boundary"):
         check_comp_words(bad)
+    with pytest.raises(CheckFailed):
+        check_record(bad, rng=random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +367,8 @@ def reference_rational(rec, rng, points=10):
 
 
 def reference_lattice(rec, bound=6):
+    """The three-output split check on Fractions; a fourth output is not
+    its business."""
     if rec.move == "forward_hp":
         src, outs = rec.input, list(rec.outputs)
     else:
@@ -393,7 +416,7 @@ def mutants(rec):
 @pytest.fixture(scope="module")
 def corpus_records(corpus200):
     """Every record the checker sees while reducing the first 20 corpus
-    terms, compensated sub-reductions included."""
+    terms, the reductions of boundary terms included."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numeric, "check_record", lambda rec, **kw: seen.append(rec))
@@ -405,10 +428,13 @@ def corpus_records(corpus200):
 def test_integer_checks_match_the_fraction_reference(corpus_records):
     moves = {r.move for r in corpus_records}
     assert {"pf_step", "insert_aux", "forward_hp", "inverse_hp"} <= moves
+    compensated = {r.move for r in corpus_records if len(r.outputs) == 4}
+    assert compensated == {"forward_hp", "inverse_hp"}
     for rec in corpus_records:
         if rec.move == "emit":
             continue
-        if rec.move in ("forward_hp", "inverse_hp"):
+        split = rec.move in ("forward_hp", "inverse_hp")
+        if split:
             new, ref, args = step_check_lattice, reference_lattice, ()
         else:
             new, ref = step_check_rational, reference_rational
@@ -417,7 +443,14 @@ def test_integer_checks_match_the_fraction_reference(corpus_records):
             bad = TraceRecord(rec.move, inp, tuple(outs), rec.params)
             if new is step_check_rational:
                 args = (random.Random(k),)
-            # the reference has no shape guard: a split of the wrong depth
-            # fails inside kernel_at or at a point index
-            want = verdict(ref, bad, *args, malformed=(ValueError, IndexError))
+            # the reference sees the three split outputs only, and has no
+            # shape guard: a split of the wrong depth fails inside kernel_at
+            # or at a point index
+            three = TraceRecord(rec.move, inp, tuple(outs[:3]), rec.params)
+            want = verdict(
+                ref, three if split else bad, *args, malformed=(ValueError, IndexError)
+            )
             assert verdict(new, bad, *args) == want, (k, rec)
+        if len(rec.outputs) == 4:
+            for bad in boundary_mutants(rec):
+                assert verdict(check_record, bad, random.Random(0)) == "rejected"
