@@ -59,7 +59,9 @@ later pop of the same shape makes no new search; the driver applies the
 stored expansion times lam = c_new / c_first through the same path a first
 visit takes with lam = 1, so the trace, the combination and every counter
 are those of expanding the shape afresh.  With ``verify=True`` every applied
-record is still checked, replays included.
+record, replays included, still goes to numeric.check_record; a replayed
+record is an exact rational multiple of its first visit's, and
+check_record proves each such relation once per process.
 """
 
 from __future__ import annotations
@@ -482,8 +484,10 @@ def reduce_to_mzv(
     seed: int = 0,
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
-    of the same weight.  With ``verify=True`` every recorded move is replayed
-    through the exact per-step checks as it happens."""
+    of the same weight.  With ``verify=True`` every recorded move goes to
+    numeric.check_record as it happens, which runs the exact per-step checks
+    once per relation: a record that is a rational multiple of one already
+    proven passes without a new check."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
     pending = Expression(_source_terms(source))

@@ -15,7 +15,14 @@ Two kinds of checks live here, at different levels of trust:
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
   (partial fractions, auxiliary columns) or as an explicit bijection between
-  truncated lattices with exact kernel matching (harmonic splits).
+  truncated lattices with exact kernel matching (harmonic splits).  Every
+  check is linear in the record's coefficients, so check_record proves each
+  relation once: it keeps the last CHECKED_BOUND relations that passed,
+  each keyed exactly by the record divided by its input coefficient, and a
+  rational multiple of one of them passes without a new check.  Each
+  relation still meets its full check once, so the Schwartz-Zippel bound
+  per relation, (D / 2^30)^10 for a false identity of degree D, is
+  unchanged.
 
 The extrapolation model is value + (a + b*log N + c*log^2 N)/N fitted at
 N/8, N/4, N/2, N, which covers the full leading tail of these series
@@ -493,34 +500,131 @@ def step_check_lattice(rec: TraceRecord) -> None:
 
 
 def check_comp_words(rec: TraceRecord) -> None:
-    """Check the fourth output of a compensated harmonic split: it must be
-    the boundary term rebuilt from the split's shape, zeta(2) times the
-    leftover kernel on the rows and columns the split pair does not touch,
-    oriented as in forward_split.  A split whose boundary vanishes has no
-    fourth output to carry."""
+    """Check the boundary of a harmonic split: its fourth output, None when
+    it has three, must be the boundary term rebuilt from the split's shape,
+    zeta(2) times the leftover kernel on the rows and columns the split pair
+    does not touch, oriented as in forward_split.  A split whose boundary
+    vanishes has no fourth output to carry, and a split whose boundary tends
+    to a constant may not drop it."""
     from .engine import boundary_term
 
     src, _, boundary = forward_split(rec)
     want = boundary_term(src, rec.params["a"], rec.params["b"])
+    if boundary == want:
+        return
     if want is None:
         raise CheckFailed(
             f"compensated split of {rec.input} has no constant boundary"
         )
-    if boundary != want:
-        raise CheckFailed(
-            f"boundary term of the split of {rec.input} is {boundary}, "
-            f"expected {want}"
-        )
+    raise CheckFailed(
+        f"boundary term of the split of {rec.input} is "
+        f"{'missing' if boundary is None else boundary}, expected {want}"
+    )
 
 
-def check_record(rec: TraceRecord, rng) -> None:
-    """Dispatch one trace record to its appropriate exact check; ``rng``
-    draws the sample points of the rational checks."""
+# ---------------------------------------------------------------------------
+# relations already checked
+
+CHECKED_BOUND = 4096  # relations kept, as many as _word_value's memo
+
+# The key of every record that passed, least recently used first, mapped
+# to itself: a hit moves the stored copy to the end, not the one just built.
+_checked: dict = {}
+# One copy of each tuple inside those keys (rows, exponents, params): a
+# corpus200 pass builds 2,868 of them, of only 195 distinct values, so its
+# 743 relations take about 0.23 MB instead of 0.75 MB.
+_parts: dict = {}
+
+
+def _frozen(v):
+    """A parameter value made hashable without merging values that a check
+    could tell apart: lists become tuples, and any other value that is not
+    an int or a string carries its type."""
+    if type(v) is int or type(v) is str:
+        return v
+    if type(v) is list or type(v) is tuple:
+        return tuple(map(_frozen, v))
+    hash(v)  # a dict or a set raises TypeError: no key
+    return type(v), v
+
+
+def _over(c: Rat, un: int, ud: int) -> tuple[int, int]:
+    """c / (un / ud) in lowest terms, with a positive denominator."""
+    n, d = c.numerator * ud, c.denominator * un
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
+def _relation_key(rec: TraceRecord) -> Optional[tuple]:
+    """``rec`` divided by its input coefficient, exactly, as one flat tuple:
+    the move, the params as (name, value, name, value, ...) with an emitted
+    ``coeff`` divided too, the input's shape, then the shape and the scaled
+    coefficient of each output in order, the coefficient as numerator and
+    denominator > 0 in lowest terms.  None when the input coefficient is 0
+    or a param has no exact normal form."""
+    unit = rec.input.coefficient
+    if unit == 0:
+        return None
+    un, ud = unit.numerator, unit.denominator
+    params = []
+    try:
+        for name, v in rec.params.items():
+            if name == "coeff":
+                # the engine writes str(input coefficient): a ratio of 1
+                v = _over(unit if v == str(unit) else Rat(v), un, ud)
+            else:
+                v = _frozen(v)
+            params += (name, v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+    p = rec.input.pattern
+    key = [rec.move, tuple(params), p.width, p.rows, rec.input.exponents]
+    for o in rec.outputs:
+        p = o.pattern
+        key += (p.width, p.rows, o.exponents, *_over(o.coefficient, un, ud))
+    return tuple(key)
+
+
+def _check(rec: TraceRecord, rng) -> None:
+    """Every exact check of one record, with no table."""
     if rec.move in ("pf_step", "insert_aux", "emit"):
         step_check_rational(rec, rng)
     elif rec.move in ("forward_hp", "inverse_hp"):
         step_check_lattice(rec)
-        if len(rec.outputs) == 4:
-            check_comp_words(rec)
+        check_comp_words(rec)
     else:
         raise ValueError(f"unknown move {rec.move!r}")
+
+
+def check_record(rec: TraceRecord, rng) -> None:
+    """Dispatch one trace record to its exact checks, once per relation;
+    ``rng`` draws the sample points of the rational checks.
+
+    Every check is homogeneous of degree 1 in the record's coefficients:
+    the rational identity c_in / D_in = sum c_o / D_o, the cross-multiplied
+    lattice equality, the boundary term (it scales with the coefficient of
+    the term split) and the coefficient an emit reads off its chain.  So a
+    record that is an exact rational multiple of one that passed passes
+    too.  A table keyed by the record divided by its input coefficient
+    (_relation_key; exact, not a digest, so no collision can pass a false
+    record) holds the last CHECKED_BOUND relations that passed, the least
+    recently used leaving first; a record found there is not checked again.
+    A failing record raises and is never stored, and a record whose input
+    coefficient is 0 (or whose params have no exact key) is always checked.
+    Each relation still meets its check once, so a false rational identity
+    of degree D still survives with probability at most (D / 2^30)^10."""
+    key = _relation_key(rec)
+    if key is None:
+        _check(rec, rng)
+        return
+    stored = _checked.pop(key, None)
+    if stored is not None:
+        _checked[stored] = stored  # now the most recently used
+        return
+    _check(rec, rng)
+    if len(_checked) >= CHECKED_BOUND:
+        del _checked[next(iter(_checked))]
+    if len(_parts) >= CHECKED_BOUND:
+        _parts.clear()
+    stored = tuple(_parts.setdefault(x, x) if type(x) is tuple else x for x in key)
+    _checked[stored] = stored

@@ -9,7 +9,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from zetalattice import numeric
-from zetalattice.engine import reduce_to_mzv
+from zetalattice.engine import _scaled_record, reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
 from zetalattice.moves import TraceRecord
 from zetalattice.numeric import (
@@ -325,7 +325,9 @@ def boundary_mutants(rec):
         yield TraceRecord(rec.move, rec.input, (*split, bad), rec.params)
 
 
-def test_comp_word_check_catches_tampering(corpus200):
+def compensated_records(corpus200):
+    """Every four-output split of reducing SPLITS_BOTH_WAYS and corpus200[19],
+    forward and inverse."""
     records = [
         r
         for t in (SPLITS_BOTH_WAYS, corpus200[19])
@@ -333,6 +335,11 @@ def test_comp_word_check_catches_tampering(corpus200):
         if len(r.outputs) == 4
     ]
     assert {r.move for r in records} == {"forward_hp", "inverse_hp"}
+    return records
+
+
+def test_comp_word_check_catches_tampering(corpus200):
+    records = compensated_records(corpus200)
     for rec in records:
         check_comp_words(rec)  # genuine record passes
         for bad in boundary_mutants(rec):
@@ -351,6 +358,16 @@ def test_comp_word_check_refuses_sound_splits():
         check_comp_words(bad)
     with pytest.raises(CheckFailed):
         check_record(bad, rng=random.Random(0))
+
+
+def test_a_dropped_boundary_term_is_refused(corpus200):
+    # the three split parts of a compensated split still pass the lattice
+    # check: only the boundary check sees the missing fourth output
+    for rec in compensated_records(corpus200):
+        bad = TraceRecord(rec.move, rec.input, rec.outputs[:3], rec.params)
+        step_check_lattice(bad)
+        with pytest.raises(CheckFailed, match="boundary term"):
+            check_record(bad, rng=random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +471,142 @@ def test_integer_checks_match_the_fraction_reference(corpus_records):
         if len(rec.outputs) == 4:
             for bad in boundary_mutants(rec):
                 assert verdict(check_record, bad, random.Random(0)) == "rejected"
+
+# ---------------------------------------------------------------------------
+# check_record proves each relation once
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty table of checked relations for this test, and counters of
+    the exact checks that check_record runs."""
+    monkeypatch.setattr(numeric, "_checked", {})
+    monkeypatch.setattr(numeric, "_parts", {})
+    names = ("step_check_rational", "step_check_lattice", "check_comp_words")
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        check = getattr(numeric, name)
+
+        def counted(*args, _check=check, _name=name):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(numeric, name, counted)
+    return calls
+
+
+def one_record_per_kind():
+    """The first record of each move, and of each split with and without a
+    boundary term, in the reduction of SPLITS_BOTH_WAYS."""
+    kinds = {}
+    for rec in reduce_to_mzv(SPLITS_BOTH_WAYS).trace.records:
+        kinds.setdefault((rec.move, len(rec.outputs)), rec)
+    assert {move for move, _ in kinds} == {
+        "emit", "pf_step", "insert_aux", "forward_hp", "inverse_hp"
+    }
+    assert ("forward_hp", 3) in kinds and ("forward_hp", 4) in kinds
+    return list(kinds.values())
+
+
+def test_a_warm_table_still_rejects_every_tampered_record(corpus_records, cold_table):
+    rng = random.Random(0)
+    for rec in corpus_records:
+        check_record(rec, rng)
+    warm = len(numeric._checked)
+    assert 0 < warm < len(corpus_records)
+    for rec in corpus_records:
+        if rec.move == "emit":
+            continue
+        variants = list(mutants(rec))
+        for k, (outs, inp) in enumerate(variants):
+            bad = TraceRecord(rec.move, inp, tuple(outs), rec.params)
+            cold = verdict(numeric._check, bad, random.Random(k))
+            assert verdict(check_record, bad, random.Random(k)) == cold, (k, rec)
+            # only the last variant, the outputs reversed, can be the same
+            # relation: a partial fraction's sum does not depend on its order
+            assert cold == "rejected" or k == len(variants) - 1, (k, rec)
+        if len(rec.outputs) == 4:
+            for bad in boundary_mutants(rec):
+                with pytest.raises(CheckFailed, match="boundary term"):
+                    check_record(bad, rng)
+
+
+def test_a_failing_record_fails_every_time(cold_table):
+    for rec in one_record_per_kind():
+        if rec.move == "emit":
+            coeff = str(Rat(rec.params["coeff"]) * 2)
+            bad = TraceRecord(rec.move, rec.input, (), dict(rec.params, coeff=coeff))
+        else:
+            outs = (rec.outputs[0].scaled(-1), *rec.outputs[1:])
+            bad = TraceRecord(rec.move, rec.input, outs, rec.params)
+        for _ in range(2):
+            with pytest.raises(CheckFailed):
+                check_record(bad, random.Random(0))
+    assert numeric._checked == {}
+
+
+def test_a_scaled_record_is_not_checked_again(cold_table):
+    for rec in one_record_per_kind():
+        check_record(rec, random.Random(0))
+        before = dict(cold_table)
+        for lam in (Rat(3, 7), Rat(-2)):
+            check_record(_scaled_record(rec, lam), random.Random(0))
+        assert cold_table == before, rec.move
+    assert sum(cold_table.values()) > 0
+
+
+def test_the_same_split_at_other_rows_is_checked_afresh(cold_table):
+    for rec in one_record_per_kind():
+        if rec.move not in ("forward_hp", "inverse_hp"):
+            continue
+        check_record(rec, random.Random(0))
+        before = cold_table["step_check_lattice"]
+        a, b = rec.params["a"], rec.params["b"]
+        swapped = TraceRecord(rec.move, rec.input, rec.outputs, {"a": b, "b": a})
+        with pytest.raises(CheckFailed):
+            check_record(swapped, random.Random(0))
+        assert cold_table["step_check_lattice"] == before + 1
+
+
+def test_params_of_another_type_are_checked_afresh(cold_table):
+    # 1.0 == 1 and both hash alike, but a float cannot index the lattice
+    # points: the cached pass of the int rows must not answer for it
+    rec = next(r for r in one_record_per_kind() if r.move == "forward_hp")
+    check_record(rec, random.Random(0))
+    floats = {name: float(v) for name, v in rec.params.items()}
+    bad = TraceRecord(rec.move, rec.input, rec.outputs, floats)
+    with pytest.raises(TypeError):
+        check_record(bad, random.Random(0))
+
+
+def test_a_record_without_a_key_is_checked_every_time(cold_table):
+    # a zero input coefficient (no ZeroDivisionError), or a param with no
+    # hashable form
+    records = one_record_per_kind()
+    odd = [_scaled_record(rec, Rat(0)) for rec in records]
+    odd += [
+        TraceRecord(rec.move, rec.input, rec.outputs, dict(rec.params, note={}))
+        for rec in records
+    ]
+    for rec in odd:
+        for _ in range(2):
+            check_record(rec, random.Random(0))
+    assert numeric._checked == {}
+    splits = sum(rec.move in ("forward_hp", "inverse_hp") for rec in odd)
+    assert cold_table["step_check_lattice"] == 2 * splits
+    assert cold_table["step_check_rational"] == 2 * (len(odd) - splits)
+
+
+def test_the_table_is_bounded(cold_table, monkeypatch):
+    monkeypatch.setattr(numeric, "CHECKED_BOUND", 3)
+    r0, r1, r2, r3 = one_record_per_kind()[:4]
+    checks = lambda: sum(cold_table.values())
+    for rec in (r0, r1, r2, r0, r3):
+        check_record(rec, random.Random(0))
+    assert len(numeric._checked) == 3
+    # r0 was used again, so r1 is the least recently used and went first
+    calls = checks()
+    check_record(r0, random.Random(0))
+    assert checks() == calls
+    check_record(r1, random.Random(0))
+    assert checks() > calls
