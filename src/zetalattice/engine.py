@@ -51,17 +51,22 @@ Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
 alone (pattern and exponents), and every output coefficient and emitted
 coefficient is the input coefficient times a rational fixed by the shape.
-So each call keeps a table, dropped when the call returns, from every popped
-shape to its expansion measured at the coefficient of its first visit: the
-trace records, the canonical outputs with their term_key, the emitted word,
-the passes of a merge's inner loop, or the fact that the term parks.  A
-later pop of the same shape makes no new search; the driver applies the
+So the process keeps one table, shared by every call, from each popped
+shape (rows, exponents, and whether the reduction is formal: stage (c)
+exists only then) to its expansion measured at the coefficient of its first
+visit: the trace records, the canonical outputs with their term_key, the
+emitted word, the passes of a merge's inner loop, or the fact that the term
+parks.  It holds the last EXPANSION_BOUND shapes, the least recently used
+leaving first, and keeps one interned copy of each term, pattern, exponent
+tuple, coefficient and term key it stores.  A later pop of the same shape,
+in this call or any later one, makes no new search; the driver applies the
 stored expansion times lam = c_new / c_first through the same path a first
-visit takes with lam = 1, so the trace, the combination and every counter
-are those of expanding the shape afresh.  With ``verify=True`` every applied
-record, replays included, still goes to numeric.check_record; a replayed
-record is an exact rational multiple of its first visit's, and
-check_record proves each such relation once per process.
+visit takes with lam = 1, as fresh records that share nothing mutable with
+the table, so the trace, the combination and every counter are those of
+expanding the shape afresh.  With ``verify=True`` every applied record,
+replays included, still goes to numeric.check_record; a replayed record is
+an exact rational multiple of its first visit's, and check_record proves
+each such relation once per process.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ from .terms import (
     converges,
     direct_sum,
     from_mzv,
+    interned,
     is_admissible,
     is_chain,
     subset_masses,
@@ -385,19 +391,54 @@ def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[T
     return (source,) if isinstance(source, Term) else source
 
 
-@dataclass
+@dataclass(slots=True)
 class _Expansion:
     """What the driver does with one popped shape, measured at the
-    coefficient of its first visit: the trace records, the canonical outputs
-    paired with their term_key, the emitted word, the budget ticks of a
-    merge's inner loop, or the fact that the term parks."""
+    coefficient of its first visit: the trace records (see _stored), the
+    canonical outputs and their term_keys, the emitted word, the budget
+    ticks of a merge's inner loop, or the fact that the term parks.  Nothing
+    in it is mutable, and its terms and keys are interned."""
 
     coefficient: Rat
-    records: list[TraceRecord] = field(default_factory=list)
-    outputs: list[tuple[Term, tuple]] = field(default_factory=list)
+    records: tuple = ()
+    outputs: tuple = ()
+    keys: tuple = ()
     word: Optional[Word] = None
     ticks: int = 0
     parks: bool = False
+
+
+def _shared(t: Term) -> Term:
+    """The interned copy of ``t``, with its pattern, exponents and
+    coefficient interned too."""
+    parts = interned(t.pattern), interned(t.exponents), interned(t.coefficient)
+    return interned(Term(*parts))
+
+
+def _shared_key(key: tuple) -> tuple:
+    """The interned copy of a term_key, each (column vector, exponent) pair
+    in it interned too."""
+    depth, pairs = key
+    return interned((depth, tuple(map(interned, pairs))))
+
+
+def _stored(rec: TraceRecord) -> tuple:
+    """``rec`` as one flat tuple: the move, the params as (name, value)
+    pairs with lists made tuples (the engine's params hold ints, strings
+    and flat lists of them), the input, then the outputs; terms and params
+    interned."""
+    params = tuple(
+        (name, tuple(v) if type(v) is list else v) for name, v in rec.params.items()
+    )
+    return (rec.move, interned(params), *map(_shared, (rec.input, *rec.outputs)))
+
+
+def _fresh(stored: tuple) -> TraceRecord:
+    """A new TraceRecord from a stored one, sharing no mutable object with
+    the table."""
+    move, params, inp, *outs = stored
+    params = {name: list(v) if type(v) is tuple else v for name, v in params}
+    return TraceRecord(move, inp, tuple(outs), params)
 
 
 def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
@@ -414,17 +455,16 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
 def _expand(t: Term, formal: bool) -> _Expansion:
     """Choose and make the move for a popped term ``t`` (see the module
     docstring for the priority), without touching the driver's state."""
-    exp = _Expansion(t.coefficient)
+    records: list[TraceRecord] = []
+    outputs: list[tuple[Term, tuple]] = []
+    word = None
+    ticks = 0
     if is_chain(t):
         word, coeff = to_mzv(t)
-        exp.records.append(
+        records.append(
             TraceRecord("emit", t, (), {"word": list(word), "coeff": str(coeff)})
         )
-        exp.word = word
-        return exp
-
-    circuit = find_circuit(t.pattern.columns())
-    if circuit is not None:
+    elif (circuit := find_circuit(t.pattern.columns())) is not None:
         pivot = max(circuit.members)
         outs = pf_step(t, circuit, pivot)
         params = {
@@ -432,30 +472,59 @@ def _expand(t: Term, formal: bool) -> _Expansion:
             "coefficients": [str(c) for c in circuit.coefficients],
             "pivot": pivot,
         }
-        exp.records.append(TraceRecord("pf_step", t, tuple(outs), params))
-        exp.outputs = _keyed(outs)
-        return exp
-
-    move = next(guarded_moves(t, formal), None)
-    if move is None:
-        if formal:
-            raise ProgressViolation(f"no applicable move for {t}")
-        exp.parks = True
-        return exp
-    a, b, outs, boundary = move
-    if outs is not None:
-        if boundary is not None:
-            # t is the first output of the forward split of outs[0], whose
-            # boundary therefore enters t with the opposite sign
-            outs = (*outs, boundary.scaled(-1))
-        params = {"a": a, "b": b}
-        exp.records.append(TraceRecord("inverse_hp", t, outs, params))
-        exp.outputs = _keyed(outs)
+        records.append(TraceRecord("pf_step", t, tuple(outs), params))
+        outputs = _keyed(outs)
     else:
-        merged = merge_step(t, a, b, exp.records.append, boundary)
-        exp.outputs = merged.keyed_terms()
-        # one tick per pass of the merge's inner loop: its pf_step records
-        exp.ticks = sum(rec.move == "pf_step" for rec in exp.records)
+        move = next(guarded_moves(t, formal), None)
+        if move is None:
+            if formal:
+                raise ProgressViolation(f"no applicable move for {t}")
+            return _Expansion(t.coefficient, parks=True)
+        a, b, outs, boundary = move
+        if outs is not None:
+            if boundary is not None:
+                # t is the first output of the forward split of outs[0], whose
+                # boundary therefore enters t with the opposite sign
+                outs = (*outs, boundary.scaled(-1))
+            records.append(TraceRecord("inverse_hp", t, outs, {"a": a, "b": b}))
+            outputs = _keyed(outs)
+        else:
+            outputs = merge_step(t, a, b, records.append, boundary).keyed_terms()
+            # one tick per pass of the merge's inner loop: its pf_step records
+            ticks = sum(rec.move == "pf_step" for rec in records)
+    return _Expansion(
+        t.coefficient,
+        tuple(map(_stored, records)),
+        tuple(_shared(ct) for ct, _ in outputs),
+        tuple(_shared_key(key) for _, key in outputs),
+        None if word is None else interned(word),
+        ticks,
+    )
+
+
+# Measured with tracemalloc: filled to the bound from the 2,877 shapes of
+# random_corpus(seed=11, count=400, max_depth=4, max_weight=7), the table
+# and the values interned for it held 3.3 MB.  One deep4 pass stores 850
+# shapes in 1.4 MB, one verified corpus200 pass 442 in 0.5 MB.
+EXPANSION_BOUND = 2048  # shapes kept
+
+# Every popped shape's expansion, keyed by (rows, exponents, formal), least
+# recently used first: a hit moves its entry to the end.
+_expansions: dict = {}
+
+
+def _expansion(t: Term, formal: bool) -> _Expansion:
+    """The expansion of the canonical term ``t``'s shape, from the table or
+    made now and stored, the least recently used entry leaving when the
+    table is full."""
+    key = (t.pattern.rows, t.exponents, formal)
+    exp = _expansions.pop(key, None)
+    if exp is None:
+        exp = _expand(t, formal)
+        if len(_expansions) >= EXPANSION_BOUND:
+            del _expansions[next(iter(_expansions))]
+        key = (interned(t.pattern).rows, interned(t.exponents), formal)
+    _expansions[key] = exp
     return exp
 
 
@@ -484,7 +553,10 @@ def reduce_to_mzv(
     seed: int = 0,
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
-    of the same weight.  With ``verify=True`` every recorded move goes to
+    of the same weight.  A shape expanded before, by this call or an earlier
+    one, is replayed from the process-wide expansion table (see the module
+    docstring) with the trace, combination and counters of expanding it
+    afresh.  With ``verify=True`` every recorded move goes to
     numeric.check_record as it happens, which runs the exact per-step checks
     once per relation: a record that is a rational multiple of one already
     proven passes without a new check."""
@@ -509,9 +581,6 @@ def reduce_to_mzv(
     # to cancel them; every insertion into the pool settles against this
     # ledger first.
     parked: dict = {}
-    # Every popped shape's expansion, for this call only.
-    expansions: dict = {}
-
     combo: MZVCombination = {}
     while pending:
         trace.max_live = max(trace.max_live, len(pending) + len(parked))
@@ -520,10 +589,7 @@ def reduce_to_mzv(
         budget.tick()
         assert t.weight == input_weight
 
-        shape = (t.pattern.rows, t.exponents)
-        exp = expansions.get(shape)
-        if exp is None:
-            exp = expansions[shape] = _expand(t, not input_convergent)
+        exp = _expansion(t, not input_convergent)
         if exp.parks:
             parked[term_key(t)] = t
             continue
@@ -531,12 +597,14 @@ def reduce_to_mzv(
         # visit's expansion times lam; the first visit has lam = 1.
         lam = t.coefficient / exp.coefficient
         budget.tick(exp.ticks)
-        for rec in exp.records:
-            rec = rec if lam == 1 else _scaled_record(rec, lam)
+        for stored in exp.records:
+            rec = _fresh(stored)
+            if lam != 1:
+                rec = _scaled_record(rec, lam)
             trace.records.append(rec)
             if checker is not None:
                 checker(rec)
-        for ct, key in exp.outputs:
+        for ct, key in zip(exp.outputs, exp.keys):
             if lam != 1:
                 ct = _scaled(ct, lam)
             if key in parked:

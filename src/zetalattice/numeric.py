@@ -47,6 +47,7 @@ from .terms import (
     Term,
     Word,
     converges,
+    interned,
     is_admissible,
     to_mzv,
 )
@@ -529,11 +530,10 @@ CHECKED_BOUND = 4096  # relations kept, as many as _word_value's memo
 
 # The key of every record that passed, least recently used first, mapped
 # to itself: a hit moves the stored copy to the end, not the one just built.
-_checked: dict = {}
-# One copy of each tuple inside those keys (rows, exponents, params): a
+# The tuples inside a stored key (rows, exponents, params) are interned: a
 # corpus200 pass builds 2,868 of them, of only 195 distinct values, so its
 # 743 relations take about 0.23 MB instead of 0.75 MB.
-_parts: dict = {}
+_checked: dict = {}
 
 
 def _frozen(v):
@@ -624,7 +624,5 @@ def check_record(rec: TraceRecord, rng) -> None:
     _check(rec, rng)
     if len(_checked) >= CHECKED_BOUND:
         del _checked[next(iter(_checked))]
-    if len(_parts) >= CHECKED_BOUND:
-        _parts.clear()
-    stored = tuple(_parts.setdefault(x, x) if type(x) is tuple else x for x in key)
+    stored = tuple(interned(x) if type(x) is tuple else x for x in key)
     _checked[stored] = stored

@@ -115,7 +115,7 @@ def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
 # terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     pattern: Pattern
     exponents: tuple[int, ...]
@@ -217,6 +217,28 @@ def term_key(t: Term):
         (tuple(mask >> r & 1 for r in order), k) for mask, k in merged.items() if k
     )
     return (t.depth, tuple(pairs))
+
+
+# ---------------------------------------------------------------------------
+# one shared copy of each value that long-lived tables keep
+
+INTERN_BOUND = 8192  # values kept; one deep4 pass interns 6,113
+
+# Each value handed to interned(), mapped to itself.  Cleared whole when
+# full: a clear costs sharing, never correctness.
+_interned: dict = {}
+
+
+def interned(x):
+    """The stored copy of a value equal to ``x``, stored now if there is
+    none, so that the process-wide tables (the engine's expansions,
+    numeric's checked relations) keep one object per distinct value instead
+    of one per use.  Only for immutable values whose equal copies are
+    interchangeable: tuples, Patterns, Terms and Fractions, never a plain
+    number, which could stand in for an equal Fraction."""
+    if len(_interned) >= INTERN_BOUND:
+        _interned.clear()
+    return _interned.setdefault(x, x)
 
 
 # ---------------------------------------------------------------------------

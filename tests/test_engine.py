@@ -19,7 +19,15 @@ from zetalattice.errors import (
     TermBudgetExceeded,
 )
 from zetalattice.moves import forward_split
-from zetalattice.terms import direct_sum, from_mzv, parse_term, term, term_to_json
+from zetalattice.terms import (
+    canonical_term,
+    converges,
+    direct_sum,
+    from_mzv,
+    parse_term,
+    term,
+    term_to_json,
+)
 
 TORNHEIM = term([(1, 2), (2, 3)], [1, 1, 1])
 
@@ -217,7 +225,7 @@ def test_parked_terms_are_reported_as_term_json():
 
 
 # ---------------------------------------------------------------------------
-# one expansion per shape per call
+# one expansion per shape per process
 
 # deep4 terms (corpus.random_corpus(seed=11, count=60, max_depth=4,
 # max_weight=7)) whose reductions pop some shapes many times
@@ -226,7 +234,12 @@ REVISITING = term([(1, 1), (1, 2), (2, 3)], [3, 1, 1])
 PARKING = term([(1, 3), (1, 5), (2, 3), (3, 4)], [1, 1, 2, 1, 1])
 
 
-def test_each_shape_is_expanded_once_per_call(monkeypatch):
+@pytest.fixture
+def cold_expansions(monkeypatch):
+    """An empty expansion table for this test, and counters of the searches
+    that expanding a shape makes."""
+    monkeypatch.setattr(engine, "_expansions", {})
+    monkeypatch.setattr(terms, "_interned", {})
     calls = {"find_circuit": 0, "guarded_moves": 0}
     for name in calls:
         inner = getattr(engine, name)
@@ -236,6 +249,11 @@ def test_each_shape_is_expanded_once_per_call(monkeypatch):
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_each_shape_is_expanded_once_per_process(cold_expansions, monkeypatch):
+    calls = cold_expansions
     pops, shapes = [], set()
     pop = terms.Expression.pop_smallest
 
@@ -246,17 +264,82 @@ def test_each_shape_is_expanded_once_per_call(monkeypatch):
         return t
 
     monkeypatch.setattr(terms.Expression, "pop_smallest", counted_pop)
-    counts = []
-    for _ in range(2):  # no table outlives its call
-        calls.update(find_circuit=0, guarded_moves=0)
-        pops.clear()
-        shapes.clear()
-        reduce_to_mzv(LOOPING)
-        assert len(pops) > len(shapes)
-        assert calls["find_circuit"] <= len(shapes)
-        assert calls["guarded_moves"] <= len(shapes)
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
+    first = reduce_to_mzv(LOOPING)
+    assert len(pops) > len(shapes)
+    assert 0 < calls["find_circuit"] <= len(shapes)
+    assert 0 < calls["guarded_moves"] <= len(shapes)
+    # the table outlives the call: a second call searches nothing
+    calls.update(find_circuit=0, guarded_moves=0)
+    second = reduce_to_mzv(LOOPING)
+    assert calls == {"find_circuit": 0, "guarded_moves": 0}
+    assert second.trace.to_json_lines() == first.trace.to_json_lines()
+    assert second.combination == first.combination
+
+
+def test_results_do_not_alias_the_table(cold_expansions):
+    first = reduce_to_mzv(REVISITING)
+    want = first.trace.to_json_lines()
+    for rec in first.trace.records:
+        for v in rec.params.values():
+            if isinstance(v, list):
+                v.append(99)
+        rec.params["a"] = -1
+        rec.params.pop("coeff", None)
+        rec.move = "tampered"
+        rec.outputs = ()
+    assert reduce_to_mzv(REVISITING).trace.to_json_lines() == want
+
+
+def test_formal_and_convergent_reductions_keep_separate_entries(cold_expansions):
+    # a divergent shape that parks inside PARKING's convergent reduction;
+    # reduced on its own it is formal, and a stage (c) move applies
+    with pytest.raises(ParkedTermsError) as err:
+        reduce_to_mzv(PARKING)
+    shape = parse_term(err.value.terms[0])
+    assert not converges(shape)
+    assert next(engine.guarded_moves(shape, False), None) is None
+    assert next(engine.guarded_moves(shape, True), None) is not None
+    key = (shape.pattern.rows, shape.exponents)
+    assert engine._expansions[(*key, False)].parks
+    res = reduce_to_mzv(shape)
+    assert not res.input_convergent
+    assert not engine._expansions[(*key, True)].parks
+    engine._expansions.clear()
+    assert reduce_to_mzv(shape).trace.to_json_lines() == res.trace.to_json_lines()
+
+
+def test_a_failed_call_leaves_the_table_usable(cold_expansions):
+    want = {t: reduce_to_mzv(t).trace.to_json_lines() for t in (TORNHEIM, LOOPING)}
+    engine._expansions.clear()
+    for _ in range(2):
+        with pytest.raises(TermBudgetExceeded, match="budget of 40"):
+            reduce_to_mzv(LOOPING, max_terms=40)
+        with pytest.raises(ParkedTermsError) as err:
+            reduce_to_mzv(PARKING)
+        assert len(err.value.terms) == 2
+    for t, lines in want.items():
+        assert reduce_to_mzv(t).trace.to_json_lines() == lines
+
+
+def test_the_expansion_table_is_bounded(cold_expansions, monkeypatch):
+    want = reduce_to_mzv(LOOPING).trace.to_json_lines()
+    monkeypatch.setattr(engine, "EXPANSION_BOUND", 3)
+    engine._expansions.clear()
+    # evicting all but three shapes changes no byte of the trace
+    assert reduce_to_mzv(LOOPING).trace.to_json_lines() == want
+    assert len(engine._expansions) == 3
+    engine._expansions.clear()
+    shapes = (TORNHEIM, STICKY, REVISITING, LOOPING)
+    t0, t1, t2, t3 = (canonical_term(t) for t in shapes)
+    for t in (t0, t1, t2, t0, t3):
+        engine._expansion(t, False)
+    assert len(engine._expansions) == 3
+    # t0 was used again, so t1 is the least recently used and went first
+    calls = cold_expansions["find_circuit"]
+    engine._expansion(t0, False)
+    assert cold_expansions["find_circuit"] == calls
+    engine._expansion(t1, False)
+    assert cold_expansions["find_circuit"] == calls + 1
 
 
 def test_verify_checks_every_replayed_record(monkeypatch):
@@ -276,6 +359,23 @@ def test_verify_checks_every_replayed_record(monkeypatch):
         shape = (rec.move, rec.input.pattern.rows, rec.input.exponents)
         scaled += first.setdefault(shape, rec.input.coefficient) != rec.input.coefficient
     assert scaled
+
+
+def test_verify_checks_every_record_with_a_warm_table(cold_expansions, monkeypatch):
+    reduce_to_mzv(REVISITING)
+    checked = []
+    check = numeric.check_record
+
+    def counted_check(rec, rng):
+        checked.append(rec)
+        check(rec, rng)
+
+    monkeypatch.setattr(numeric, "check_record", counted_check)
+    cold_expansions.update(find_circuit=0, guarded_moves=0)
+    res = reduce_to_mzv(REVISITING, verify=True)
+    assert cold_expansions == {"find_circuit": 0, "guarded_moves": 0}
+    assert checked == res.trace.records
+    assert len(checked) == 57
 
 
 def test_budget_counts_every_revisit():

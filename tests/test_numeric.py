@@ -8,7 +8,7 @@ from fractions import Fraction as Rat
 
 import pytest
 
-from zetalattice import numeric
+from zetalattice import numeric, terms
 from zetalattice.engine import _scaled_record, reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
 from zetalattice.moves import TraceRecord
@@ -481,7 +481,7 @@ def cold_table(monkeypatch):
     """An empty table of checked relations for this test, and counters of
     the exact checks that check_record runs."""
     monkeypatch.setattr(numeric, "_checked", {})
-    monkeypatch.setattr(numeric, "_parts", {})
+    monkeypatch.setattr(terms, "_interned", {})
     names = ("step_check_rational", "step_check_lattice", "check_comp_words")
     calls = dict.fromkeys(names, 0)
     for name in calls:

@@ -83,6 +83,20 @@ def test_term_key_ignores_presentation():
     assert term_key(canonical_term(a)) == term_key(canonical_term(b))
 
 
+def test_interned_keeps_one_copy_and_is_bounded(monkeypatch):
+    monkeypatch.setattr(zl.terms, "_interned", {})
+    monkeypatch.setattr(zl.terms, "INTERN_BOUND", 2)
+    interned = zl.terms.interned
+    a, b = tuple([1, 2]), tuple([1, 2])
+    assert a is not b
+    assert interned(a) is a and interned(b) is a
+    interned(Pattern(2, ((1, 2),)))
+    # full: the next new value clears the table, and b is stored afresh
+    interned((3,))
+    assert zl.terms._interned == {(3,): (3,)}
+    assert interned(b) is b
+
+
 def test_cover_lists_the_rows_of_each_column():
     pat = Pattern(5, ((2, 4), (1, 3), (4, 5), (3, 3)))
     assert pat.cover == (0b0010, 0b0011, 0b1011, 0b0101, 0b0100)
