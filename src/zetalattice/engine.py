@@ -415,13 +415,6 @@ def _shared(t: Term) -> Term:
     return interned(Term(*parts))
 
 
-def _shared_key(key: tuple) -> tuple:
-    """The interned copy of a term_key, each (column vector, exponent) pair
-    in it interned too."""
-    depth, pairs = key
-    return interned((depth, tuple(map(interned, pairs))))
-
-
 def _stored(rec: TraceRecord) -> tuple:
     """``rec`` as one flat tuple: the move, the params as (name, value)
     pairs with lists made tuples (the engine's params hold ints, strings
@@ -496,7 +489,7 @@ def _expand(t: Term, formal: bool) -> _Expansion:
         t.coefficient,
         tuple(map(_stored, records)),
         tuple(_shared(ct) for ct, _ in outputs),
-        tuple(_shared_key(key) for _, key in outputs),
+        tuple(key for _, key in outputs),  # term_key interns its values
         None if word is None else interned(word),
         ticks,
     )
@@ -645,29 +638,36 @@ def trace_replay(
     """Re-apply a recorded trace to the input expression.  Every record
     subtracts its input and adds its outputs in a ledger keyed by term_key,
     which needs no canonical form (raw aux terms carry a zero-exponent column
-    even when dropping it would break a row interval); at the end the ledger
-    must be empty.  Returns the rebuilt word combination."""
+    even when dropping it would break a row interval) and is computed once
+    per shape and process, so a replay pays one table lookup and one rational
+    addition per term.  At the end the ledger must be empty; otherwise the
+    CheckFailed names up to three leftover keys with their coefficients.
+    Returns the rebuilt word combination."""
     state: dict = {}
 
-    def bump(term: Term, sign: int) -> None:
+    def bump(term: Term, add: bool) -> None:
         k = term_key(term)
-        c = state.get(k, Rat(0)) + sign * term.coefficient
-        if c == 0:
-            state.pop(k, None)
-        else:
+        c = term.coefficient
+        old = state.pop(k, None)
+        if old is not None:
+            c = old + c if add else old - c
+        elif not add:
+            c = -c
+        if c:
             state[k] = c
 
     for t in _source_terms(source):
-        bump(t, 1)
+        bump(t, True)
 
     combo: MZVCombination = {}
     for rec in trace.records:
-        bump(rec.input, -1)
+        bump(rec.input, False)
         if rec.move == "emit":
             comb_add(combo, tuple(rec.params["word"]), Rat(rec.params["coeff"]))
         else:
             for o in rec.outputs:
-                bump(o, 1)
+                bump(o, True)
     if state:
-        raise CheckFailed(f"replay left {len(state)} unconsumed terms")
+        left = "; ".join(f"{c} * {k}" for k, c in itertools.islice(state.items(), 3))
+        raise CheckFailed(f"replay left {len(state)} unconsumed terms: {left}")
     return combo

@@ -4,6 +4,7 @@ import pytest
 
 from zetalattice import engine, numeric, terms
 from zetalattice.engine import (
+    ReductionTrace,
     _comp_subterm,
     boundary_term,
     first_mismatch,
@@ -18,14 +19,16 @@ from zetalattice.errors import (
     ParseError,
     TermBudgetExceeded,
 )
-from zetalattice.moves import forward_split
+from zetalattice.moves import TraceRecord, forward_split
 from zetalattice.terms import (
+    Term,
     canonical_term,
     converges,
     direct_sum,
     from_mzv,
     parse_term,
     term,
+    term_key,
     term_to_json,
 )
 
@@ -70,9 +73,68 @@ def test_replay_detects_a_dropped_record():
     res = reduce_to_mzv(TORNHEIM)
     broken = res.trace
     first_emit = next(i for i, r in enumerate(broken.records) if r.move == "emit")
-    del broken.records[first_emit]
-    with pytest.raises(CheckFailed):
+    dropped = broken.records.pop(first_emit)
+    with pytest.raises(CheckFailed, match="left 1 unconsumed terms") as err:
         trace_replay(TORNHEIM, broken)
+    # the error names the leftover shape's key with its coefficient
+    left = f"{dropped.input.coefficient} * {term_key(dropped.input)}"
+    assert left in str(err.value)
+    # and at most three of them
+    words = [from_mzv((k,)) for k in range(2, 7)]
+    with pytest.raises(CheckFailed, match="left 5 unconsumed terms") as err:
+        trace_replay(words, ReductionTrace())
+    assert str(err.value).count(" * ") == 3
+
+
+def test_a_warm_term_key_table_cannot_hide_a_broken_trace():
+    res = reduce_to_mzv(STICKY)
+    # a clean replay first, so that every shape of the trace is in the table
+    assert trace_replay(STICKY, res.trace) == res.combination
+    records = res.trace.records
+
+    def with_output(i, bad):
+        rec = records[i]
+        changed = TraceRecord(rec.move, rec.input, (bad, *rec.outputs[1:]), rec.params)
+        return ReductionTrace([*records[:i], changed, *records[i + 1 :]])
+
+    for i, rec in enumerate(records):
+        if not rec.outputs:
+            continue
+        o = rec.outputs[0]
+        plus_one = o.with_coefficient(o.coefficient + 1)
+        exps = (o.exponents[0] + 1, *o.exponents[1:])
+        for bad in (plus_one, Term(o.pattern, exps, o.coefficient)):
+            with pytest.raises(CheckFailed):
+                trace_replay(STICKY, with_output(i, bad))
+
+    def entry(u):
+        """What u books in the ledger, keyed without the table."""
+        return terms._term_key.__wrapped__(u.pattern, u.exponents), u.coefficient
+
+    dropped = 0
+    for i, rec in enumerate(records):
+        # a pf_step of a merge's inner loop may only move exponent between
+        # columns of one cover: its output books what its input did, and
+        # the ledger cannot miss it.  It must miss any other record.
+        if [entry(o) for o in rec.outputs] == [entry(rec.input)]:
+            continue
+        dropped += 1
+        with pytest.raises(CheckFailed):
+            trace_replay(STICKY, ReductionTrace(records[:i] + records[i + 1 :]))
+    assert dropped > len(records) // 2
+
+
+def test_a_raw_aux_term_cancels_against_its_canonical_twin():
+    res = reduce_to_mzv(TORNHEIM)
+    assert trace_replay(TORNHEIM, res.trace) == res.combination
+    rec = next(r for r in res.trace.records if r.move == "insert_aux")
+    (aux,) = rec.outputs
+    twin = canonical_term(aux)
+    assert 0 in aux.exponents and 0 not in twin.exponents
+    # two table entries, one key
+    assert (aux.pattern, aux.exponents) != (twin.pattern, twin.exponents)
+    assert term_key(aux) == term_key(twin)
+    assert trace_replay([aux, twin.scaled(-1)], ReductionTrace()) == {}
 
 
 def test_inadmissible_staircase_is_emitted_formally():

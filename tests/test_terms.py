@@ -13,8 +13,10 @@ from zetalattice.errors import (
     ZeroColumn,
 )
 from zetalattice.terms import (
+    TERM_KEY_BOUND,
     Pattern,
     Term,
+    _term_key,
     canonical_term,
     converges,
     direct_sum,
@@ -177,6 +179,16 @@ def test_term_key_needs_no_canonical_form(record_terms):
         ct = outcome(canonical_term, t)
         if ct != "IntervalBroken":
             assert term_key(t) == term_key(ct), t
+
+
+def test_the_term_key_table_is_exact_and_bounded(record_terms):
+    for t in record_terms:
+        term_key(t)
+    for t in record_terms:
+        assert term_key(t) == _term_key.__wrapped__(t.pattern, t.exponents), t
+    info = _term_key.cache_info()
+    assert info.maxsize == TERM_KEY_BOUND
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_term_key_ignores_zero_exponent_columns(record_terms):
