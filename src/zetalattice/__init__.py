@@ -65,6 +65,7 @@ from .moves import (
     insert_aux_column,
     inverse_hp,
     pf_step,
+    split_defect_vanishes,
 )
 from .engine import (
     ReductionResult,
@@ -72,7 +73,6 @@ from .engine import (
     first_mismatch,
     merge_step,
     reduce_to_mzv,
-    split_defect_vanishes,
     trace_replay,
 )
 from .numeric import (
@@ -113,9 +113,9 @@ __all__ = [
     "reflect", "render_combination", "stuffle_words", "term", "term_key",
     "term_to_json", "to_mzv", "validate_pattern",
     "TraceRecord", "aux_circuit", "forward_hp", "insert_aux_column",
-    "inverse_hp", "pf_step",
+    "inverse_hp", "pf_step", "split_defect_vanishes",
     "ReductionResult", "ReductionTrace", "first_mismatch", "reduce_to_mzv",
-    "trace_replay", "merge_step", "split_defect_vanishes",
+    "trace_replay", "merge_step",
     "CheckReport", "EvalReport", "check_record", "check_reduction",
     "eval_mzv", "eval_term", "step_check_lattice", "step_check_rational",
     "CubicalIntegrand", "FormMonomial", "cubical_integrand",

@@ -28,11 +28,11 @@ Partial fractions and auxiliary columns are exact at every lattice cutoff.
 A harmonic split is exact on the full lattice but misclassifies the corner
 n_a + n_b > B of the box [1, B]^d, so splitting a *divergent* intermediate
 can shift a finite amount of value out of the books even though every
-emitted divergent word cancels in the end.  split_defect_vanishes decides,
-by integer scale counting, whether that corner sum tends to zero; stage (a)
-admits a split only when it does.  Emitting is always safe: all chain shapes
-with the same word have identical box sums (gap coordinates), so cancelled
-words cancel their truncation defects too.
+emitted divergent word cancels in the end.  moves.split_defect_vanishes
+decides, by integer scale counting, whether that corner sum tends to zero;
+stage (a) admits a split only when it does.  Emitting is always safe: all
+chain shapes with the same word have identical box sums (gap coordinates),
+so cancelled words cancel their truncation defects too.
 
 A convergent input whose term has no guarded split is *parked* until a
 sibling branch cancels it; if any parked term survives to the end the
@@ -51,65 +51,63 @@ Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
 alone (pattern and exponents), and every output coefficient and emitted
 coefficient is the input coefficient times a rational fixed by the shape.
-So the process keeps one table, shared by every call, from each popped
-shape (rows, exponents, and whether the reduction is formal: stage (c)
-exists only then) to its expansion measured at the coefficient of its first
-visit: the trace records, the canonical outputs with their term_key, the
-emitted word, the passes of a merge's inner loop, or the fact that the term
-parks.  It holds the last EXPANSION_BOUND shapes, the least recently used
-leaving first, and keeps one interned copy of each term, pattern, exponent
-tuple, coefficient and term key it stores.  A later pop of the same shape,
-in this call or any later one, makes no new search; the driver applies the
-stored expansion times lam = c_new / c_first through the same path a first
-visit takes with lam = 1, as fresh records that share nothing mutable with
-the table, so the trace, the combination and every counter are those of
-expanding the shape afresh.  With ``verify=True`` every applied record,
-replays included, still goes to numeric.check_record; a replayed record is
-an exact rational multiple of its first visit's, and check_record proves
-each such relation once per process.
+So a shape's expansion at coefficient 1 is a pure function of the shape
+(pattern, exponents, and whether the reduction is formal: stage (c) exists
+only then): the trace records, the canonical outputs with their term_key,
+the emitted word, the passes of a merge's inner loop, or the fact that the
+term parks.  _expansion memoises it for the whole process, the last
+EXPANSION_BOUND shapes kept, with one interned copy of each term, pattern,
+exponent tuple, coefficient and term key it stores.  Every pop, in this
+call or any later one, applies its shape's expansion times its own
+coefficient lam through _applied, as fresh records that share nothing
+mutable with the memo, so the trace, the combination and every counter are
+those of expanding the shape afresh.  With ``verify=True`` every applied
+record still goes to numeric.check_record; an applied record is an exact
+rational multiple of the stored one, and check_record proves each such
+relation once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
+from . import numeric
 from .errors import (
     ParkedTermsError,
     ParseError,
     ProgressViolation,
     TermBudgetExceeded,
     CheckFailed,
-    ZetaLatticeError,
 )
 from .linalg import find_circuit
 from .moves import (
     TraceRecord,
+    aux_circuit,
+    boundary_term,
     forward_hp,
     insert_aux_column,
-    aux_circuit,
     inverse_hp,
     pf_step,
+    split_defect_vanishes,
 )
 from .terms import (
     Expression,
     MZVCombination,
+    Pattern,
     Rat,
     Term,
     Word,
     canonical_term,
     comb_add,
     converges,
-    direct_sum,
-    from_mzv,
     interned,
     is_admissible,
     is_chain,
-    subset_masses,
-    term as build_term,
     term_key,
     term_to_json,
     to_mzv,
@@ -209,100 +207,6 @@ def first_mismatch(t: Term) -> Optional[Place]:
     return None
 
 
-def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
-    """The convergent leftover kernel whose value, times zeta(2), is the
-    exact limit of the truncation boundary of a harmonic split of the
-    disjoint rows a and b of ``src`` (0-based).  None when the boundary has
-    no such clean constant.
-
-    In the corner n_a + n_b > B both split variables run at scale B; every
-    column form touching row a or b freezes to that scale and the kernel
-    factors into (1 / n_a n_b) times the sub-kernel on the remaining rows
-    and the columns touching neither.  Sum over the corner: zeta(2) times
-    the sub-kernel value.  This factoring is exact in the limit when
-
-      * the pair's own exponent mass is minimal, K({a, b}) = 2;
-      * every larger subset containing both rows has K(T) > |T| (the rest
-        of the corner integrand decays);
-      * subsets containing exactly one have K(T) >= |T| (one-sided strips
-        vanish as usual);
-      * the leftover kernel is a valid convergent term: in particular every
-        remaining row must keep a column of its own.
-    """
-    (sa, ea), (sb, eb) = src.pattern.rows[a], src.pattern.rows[b]
-    if not (ea < sb or eb < sa):
-        return None
-    pair = (1 << a) | (1 << b)
-    for mask, size, mass in subset_masses(src):
-        if mask & pair == pair:
-            if (size == 2 and mass != 2) or (size > 2 and mass <= size):
-                return None
-        elif mask & pair and mass < size:
-            return None
-    kept = [(m, k) for m, k in zip(src.pattern.cover, src.exponents) if not m & pair]
-    sub_rows = []
-    for r in range(src.depth):
-        if r in (a, b):
-            continue
-        mine = [i for i, (m, _) in enumerate(kept, start=1) if m >> r & 1]
-        if not mine:
-            return None
-        sub_rows.append((mine[0], mine[-1]))
-    sub_exps = [k for _, k in kept]
-    try:
-        sub = build_term(sub_rows, sub_exps)
-    except ZetaLatticeError:
-        return None
-    if not converges(sub):
-        return None
-    return sub
-
-
-def boundary_term(src: Term, a: int, b: int) -> Optional[Term]:
-    """The constant truncation boundary of a harmonic split of the disjoint
-    rows a and b of ``src`` (0-based) as a term, oriented as the fourth
-    output of forward_hp(src, a, b): minus src's coefficient times the
-    direct sum of zeta(2) and the leftover kernel (see _comp_subterm), of
-    the weight of ``src``.  None when the boundary has no such constant."""
-    sub = _comp_subterm(src, a, b)
-    if sub is None:
-        return None
-    return direct_sum(from_mzv((2,)), sub).scaled(-src.coefficient)
-
-
-def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
-    """Whether the truncation boundary of a harmonic split of rows a and b
-    (0-based indices into ``t``) vanishes as the box cutoff B grows.
-
-    Splitting inside [1, B]^d misclassifies exactly the corner
-    n_a + n_b > B.  Scale counting there: put each variable at B^theta with
-    theta_a or theta_b equal to 1 (their sum must reach B); the pair then
-    contributes 2*min(theta_a, theta_b) degrees of freedom, because the
-    larger variable is pinned to a window as wide as the smaller one, every
-    other row contributes theta_r, and the kernel decays with every covered
-    column form at the scale of its largest covering row.  Maximizing the
-    net exponent over the vertices theta in {0,1}^d (the objective is
-    piecewise linear and concave, so vertices suffice) and asking for a
-    negative value gives, in subset form with K(T) the total exponent of the
-    columns covered by the row set T:
-
-        K(T) >  |T|   for every T containing both split rows,
-        K(T) >= |T|   for every T containing exactly one of them.
-
-    Integer data makes failure mean "exponent >= 0", so a polylog factor on
-    a passing pair can never flip the verdict.  A convergent source passes
-    automatically (its K(T) > |T| for all T); the test has teeth only on
-    divergent intermediates."""
-    pair = (1 << a) | (1 << b)
-    for mask, size, mass in subset_masses(t):
-        if not mask & pair:
-            continue
-        need = size + 1 if mask & pair == pair else size
-        if mass < need:
-            return False
-    return True
-
-
 def guarded_moves(t: Term, formal: bool):
     """Every split the boundary guard admits on ``t``, lazily and in priority
     order, as (a, b, inverse_hp outputs or None for a merge, boundary_term of
@@ -393,13 +297,12 @@ def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[T
 
 @dataclass(slots=True)
 class _Expansion:
-    """What the driver does with one popped shape, measured at the
-    coefficient of its first visit: the trace records (see _stored), the
-    canonical outputs and their term_keys, the emitted word, the budget
-    ticks of a merge's inner loop, or the fact that the term parks.  Nothing
-    in it is mutable, and its terms and keys are interned."""
+    """What the driver does with one popped shape at coefficient 1: the
+    trace records (see _stored), the canonical outputs and their term_keys,
+    the emitted word, the budget ticks of a merge's inner loop, or the fact
+    that the term parks.  Nothing in it is mutable, and its terms and keys
+    are interned."""
 
-    coefficient: Rat
     records: tuple = ()
     outputs: tuple = ()
     keys: tuple = ()
@@ -426,12 +329,17 @@ def _stored(rec: TraceRecord) -> tuple:
     return (rec.move, interned(params), *map(_shared, (rec.input, *rec.outputs)))
 
 
-def _fresh(stored: tuple) -> TraceRecord:
-    """A new TraceRecord from a stored one, sharing no mutable object with
-    the table."""
-    move, params, inp, *outs = stored
+def _applied(stored: tuple, lam: Rat) -> TraceRecord:
+    """A new TraceRecord from a stored one times ``lam``: the input, the
+    outputs and an emitted coefficient scaled, sharing no mutable object
+    with the memo."""
+    move, params, *terms = stored
     params = {name: list(v) if type(v) is tuple else v for name, v in params}
-    return TraceRecord(move, inp, tuple(outs), params)
+    if lam != 1:
+        terms = [Term(u.pattern, u.exponents, u.coefficient * lam) for u in terms]
+        if "coeff" in params:
+            params["coeff"] = str(Rat(params["coeff"]) * lam)
+    return TraceRecord(move, terms[0], tuple(terms[1:]), params)
 
 
 def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
@@ -445,9 +353,21 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
     return keyed
 
 
-def _expand(t: Term, formal: bool) -> _Expansion:
-    """Choose and make the move for a popped term ``t`` (see the module
-    docstring for the priority), without touching the driver's state."""
+# Measured with tracemalloc: filled to the bound from the 2,877 shapes of
+# random_corpus(seed=11, count=400, max_depth=4, max_weight=7), the table
+# and the values interned for it held 3.3 MB.  One deep4 pass stores 850
+# shapes in 1.4 MB, one verified corpus200 pass 442 in 0.5 MB.
+EXPANSION_BOUND = 2048  # shapes kept
+
+
+@functools.lru_cache(maxsize=EXPANSION_BOUND)
+def _expansion(
+    pattern: Pattern, exponents: tuple[int, ...], formal: bool
+) -> _Expansion:
+    """Choose and make the move for a popped canonical term of this shape at
+    coefficient 1 (see the module docstring for the priority), without
+    touching the driver's state."""
+    t = Term(pattern, exponents, Rat(1))
     records: list[TraceRecord] = []
     outputs: list[tuple[Term, tuple]] = []
     word = None
@@ -472,7 +392,7 @@ def _expand(t: Term, formal: bool) -> _Expansion:
         if move is None:
             if formal:
                 raise ProgressViolation(f"no applicable move for {t}")
-            return _Expansion(t.coefficient, parks=True)
+            return _Expansion(parks=True)
         a, b, outs, boundary = move
         if outs is not None:
             if boundary is not None:
@@ -486,56 +406,11 @@ def _expand(t: Term, formal: bool) -> _Expansion:
             # one tick per pass of the merge's inner loop: its pf_step records
             ticks = sum(rec.move == "pf_step" for rec in records)
     return _Expansion(
-        t.coefficient,
         tuple(map(_stored, records)),
         tuple(_shared(ct) for ct, _ in outputs),
         tuple(key for _, key in outputs),  # term_key interns its values
         None if word is None else interned(word),
         ticks,
-    )
-
-
-# Measured with tracemalloc: filled to the bound from the 2,877 shapes of
-# random_corpus(seed=11, count=400, max_depth=4, max_weight=7), the table
-# and the values interned for it held 3.3 MB.  One deep4 pass stores 850
-# shapes in 1.4 MB, one verified corpus200 pass 442 in 0.5 MB.
-EXPANSION_BOUND = 2048  # shapes kept
-
-# Every popped shape's expansion, keyed by (rows, exponents, formal), least
-# recently used first: a hit moves its entry to the end.
-_expansions: dict = {}
-
-
-def _expansion(t: Term, formal: bool) -> _Expansion:
-    """The expansion of the canonical term ``t``'s shape, from the table or
-    made now and stored, the least recently used entry leaving when the
-    table is full."""
-    key = (t.pattern.rows, t.exponents, formal)
-    exp = _expansions.pop(key, None)
-    if exp is None:
-        exp = _expand(t, formal)
-        if len(_expansions) >= EXPANSION_BOUND:
-            del _expansions[next(iter(_expansions))]
-        key = (interned(t.pattern).rows, interned(t.exponents), formal)
-    _expansions[key] = exp
-    return exp
-
-
-def _scaled(t: Term, lam: Rat) -> Term:
-    return Term(t.pattern, t.exponents, t.coefficient * lam)
-
-
-def _scaled_record(rec: TraceRecord, lam: Rat) -> TraceRecord:
-    """``rec`` with every coefficient times ``lam``: the input, the outputs
-    and an emitted coefficient."""
-    params = rec.params
-    if "coeff" in params:
-        params = {**params, "coeff": str(Rat(params["coeff"]) * lam)}
-    return TraceRecord(
-        rec.move,
-        _scaled(rec.input, lam),
-        tuple(_scaled(o, lam) for o in rec.outputs),
-        params,
     )
 
 
@@ -547,26 +422,26 @@ def reduce_to_mzv(
 ) -> ReductionResult:
     """Rewrite ``source`` into a rational combination of multiple zeta words
     of the same weight.  A shape expanded before, by this call or an earlier
-    one, is replayed from the process-wide expansion table (see the module
+    one, is applied from the process-wide expansion memo (see the module
     docstring) with the trace, combination and counters of expanding it
-    afresh.  With ``verify=True`` every recorded move goes to
-    numeric.check_record as it happens, which runs the exact per-step checks
-    once per relation: a record that is a rational multiple of one already
-    proven passes without a new check."""
+    afresh.  The input counts as convergent when every source term
+    converges, terms of coefficient 0 included.  With ``verify=True`` every
+    recorded move goes to numeric.check_record as it happens, which runs the
+    exact per-step checks once per relation: a record that is a rational
+    multiple of one already proven passes without a new check."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
-    pending = Expression(_source_terms(source))
+    source = list(_source_terms(source))  # may be a one-shot iterable
+    input_convergent = all(converges(t) for t in source)
+    pending = Expression(source)
     if not pending:
-        return ReductionResult({}, ReductionTrace(), True, True)
+        return ReductionResult({}, ReductionTrace(), input_convergent, True)
     input_weight = pending.weight
-    input_convergent = all(converges(t) for t in pending)
 
     trace = ReductionTrace()
     budget = _Budget(max_terms)
     checker = None
     if verify:
-        from . import numeric  # local import keeps layering one-way
-
         rng = random.Random(seed)
         checker = lambda rec: numeric.check_record(rec, rng=rng)
 
@@ -582,24 +457,22 @@ def reduce_to_mzv(
         budget.tick()
         assert t.weight == input_weight
 
-        exp = _expansion(t, not input_convergent)
+        exp = _expansion(t.pattern, t.exponents, not input_convergent)
         if exp.parks:
             parked[term_key(t)] = t
             continue
-        # Every move is linear in the coefficient, so a revisit is the first
-        # visit's expansion times lam; the first visit has lam = 1.
-        lam = t.coefficient / exp.coefficient
+        # Every move is linear in the coefficient, so a visit is the
+        # expansion at coefficient 1 times lam.
+        lam = t.coefficient
         budget.tick(exp.ticks)
         for stored in exp.records:
-            rec = _fresh(stored)
-            if lam != 1:
-                rec = _scaled_record(rec, lam)
+            rec = _applied(stored, lam)
             trace.records.append(rec)
             if checker is not None:
                 checker(rec)
         for ct, key in zip(exp.outputs, exp.keys):
             if lam != 1:
-                ct = _scaled(ct, lam)
+                ct = Term(ct.pattern, ct.exponents, ct.coefficient * lam)
             if key in parked:
                 c = parked.pop(key).coefficient + ct.coefficient
                 if c != 0:

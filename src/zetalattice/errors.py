@@ -39,8 +39,9 @@ class NotChain(ZetaLatticeError):
 
 
 class ParseError(ZetaLatticeError, ValueError):
-    """Malformed JSON / word syntax on an external interface, or a
-    summation cutoff or node count below 1."""
+    """Malformed JSON / word syntax on an external interface, a summation
+    cutoff or node count below 1, or a cube integral whose node count and
+    weight ask for a table above periods.TABLE_ENTRY_LIMIT."""
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ Three families of moves, each an exact identity of kernels or of lattice sums:
   (kernel unchanged) placed so that a circuit through it exists; the engine
   immediately pivots a pf_step at it.
 
+A harmonic split is exact on the full lattice but not inside a box cutoff:
+``split_defect_vanishes`` decides whether its truncation boundary vanishes,
+and ``boundary_term`` gives the constant it tends to otherwise, when there
+is one.
+
 Moves return *raw* outputs: the row list order of the input is preserved
 (position a holds the merged row, position b the difference row), so trace
 records can replay exact per-lattice-point identities.  Canonicalization is
@@ -37,9 +42,19 @@ from .errors import (
     InvalidPivot,
     RowsDontShareStart,
     RowsNotAdjacent,
+    ZetaLatticeError,
 )
 from .linalg import CircuitDependency, find_circuit
-from .terms import Pattern, Rat, Term
+from .terms import (
+    Pattern,
+    Rat,
+    Term,
+    converges,
+    direct_sum,
+    from_mzv,
+    subset_masses,
+    term as build_term,
+)
 
 
 @dataclass
@@ -171,10 +186,10 @@ def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], Optional[Term]]:
     """A harmonic-split record as (the term split forward, its three
     forward_hp outputs, its boundary term or None).  Outputs 1-3 of a record
     are the split; a compensated split books the constant that its
-    truncation boundary tends to as a fourth output (see
-    engine.boundary_term).  A record books its input as the sum of its
-    outputs, so an inverse_hp record t = o1 + o2 + o3 (+ o4) is the forward
-    split o1 = t - o2 - o3 (- o4)."""
+    truncation boundary tends to as a fourth output (see boundary_term).  A
+    record books its input as the sum of its outputs, so an inverse_hp
+    record t = o1 + o2 + o3 (+ o4) is the forward split o1 = t - o2 - o3
+    (- o4)."""
     outs = list(rec.outputs)
     boundary = outs.pop() if len(outs) > 3 else None
     if rec.move == "forward_hp":
@@ -183,6 +198,104 @@ def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], Optional[Term]]:
     if boundary is not None:
         boundary = boundary.scaled(-1)
     return o1, [rec.input, *(o.scaled(-1) for o in rest)], boundary
+
+
+# ---------------------------------------------------------------------------
+# split boundaries
+
+
+def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
+    """The convergent leftover kernel whose value, times zeta(2), is the
+    exact limit of the truncation boundary of a harmonic split of the
+    disjoint rows a and b of ``src`` (0-based).  None when the boundary has
+    no such clean constant.
+
+    In the corner n_a + n_b > B both split variables run at scale B; every
+    column form touching row a or b freezes to that scale and the kernel
+    factors into (1 / n_a n_b) times the sub-kernel on the remaining rows
+    and the columns touching neither.  Sum over the corner: zeta(2) times
+    the sub-kernel value.  This factoring is exact in the limit when
+
+      * the pair's own exponent mass is minimal, K({a, b}) = 2;
+      * every larger subset containing both rows has K(T) > |T| (the rest
+        of the corner integrand decays);
+      * subsets containing exactly one have K(T) >= |T| (one-sided strips
+        vanish as usual);
+      * the leftover kernel is a valid convergent term: in particular every
+        remaining row must keep a column of its own.
+    """
+    (sa, ea), (sb, eb) = src.pattern.rows[a], src.pattern.rows[b]
+    if not (ea < sb or eb < sa):
+        return None
+    pair = (1 << a) | (1 << b)
+    for mask, size, mass in subset_masses(src):
+        if mask & pair == pair:
+            if (size == 2 and mass != 2) or (size > 2 and mass <= size):
+                return None
+        elif mask & pair and mass < size:
+            return None
+    kept = [(m, k) for m, k in zip(src.pattern.cover, src.exponents) if not m & pair]
+    sub_rows = []
+    for r in range(src.depth):
+        if r in (a, b):
+            continue
+        mine = [i for i, (m, _) in enumerate(kept, start=1) if m >> r & 1]
+        if not mine:
+            return None
+        sub_rows.append((mine[0], mine[-1]))
+    sub_exps = [k for _, k in kept]
+    try:
+        sub = build_term(sub_rows, sub_exps)
+    except ZetaLatticeError:
+        return None
+    if not converges(sub):
+        return None
+    return sub
+
+
+def boundary_term(src: Term, a: int, b: int) -> Optional[Term]:
+    """The constant truncation boundary of a harmonic split of the disjoint
+    rows a and b of ``src`` (0-based) as a term, oriented as the fourth
+    output of forward_hp(src, a, b): minus src's coefficient times the
+    direct sum of zeta(2) and the leftover kernel (see _comp_subterm), of
+    the weight of ``src``.  None when the boundary has no such constant."""
+    sub = _comp_subterm(src, a, b)
+    if sub is None:
+        return None
+    return direct_sum(from_mzv((2,)), sub).scaled(-src.coefficient)
+
+
+def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
+    """Whether the truncation boundary of a harmonic split of rows a and b
+    (0-based indices into ``t``) vanishes as the box cutoff B grows.
+
+    Splitting inside [1, B]^d misclassifies exactly the corner
+    n_a + n_b > B.  Scale counting there: put each variable at B^theta with
+    theta_a or theta_b equal to 1 (their sum must reach B); the pair then
+    contributes 2*min(theta_a, theta_b) degrees of freedom, because the
+    larger variable is pinned to a window as wide as the smaller one, every
+    other row contributes theta_r, and the kernel decays with every covered
+    column form at the scale of its largest covering row.  Maximizing the
+    net exponent over the vertices theta in {0,1}^d (the objective is
+    piecewise linear and concave, so vertices suffice) and asking for a
+    negative value gives, in subset form with K(T) the total exponent of the
+    columns covered by the row set T:
+
+        K(T) >  |T|   for every T containing both split rows,
+        K(T) >= |T|   for every T containing exactly one of them.
+
+    Integer data makes failure mean "exponent >= 0", so a polylog factor on
+    a passing pair can never flip the verdict.  A convergent source passes
+    automatically (its K(T) > |T| for all T); the test has teeth only on
+    divergent intermediates."""
+    pair = (1 << a) | (1 << b)
+    for mask, size, mass in subset_masses(t):
+        if not mask & pair:
+            continue
+        need = size + 1 if mask & pair == pair else size
+        if mass < need:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
-from .moves import TraceRecord, forward_split
+from .moves import TraceRecord, boundary_term, forward_split
 from .terms import (
     MZVCombination,
     Rat,
@@ -507,8 +507,6 @@ def check_comp_words(rec: TraceRecord) -> None:
     does not touch, oriented as in forward_split.  A split whose boundary
     vanishes has no fourth output to carry, and a split whose boundary tends
     to a constant may not drop it."""
-    from .engine import boundary_term
-
     src, _, boundary = forward_split(rec)
     want = boundary_term(src, rec.params["a"], rec.params["b"])
     if boundary == want:

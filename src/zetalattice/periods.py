@@ -45,6 +45,10 @@ from .numeric import EvalReport
 from .terms import Pattern, Rat, Term, converges, expand
 
 DEFAULT_NODE_COUNTS = {2: 81, 3: 61, 4: 49, 5: 35}
+# Largest n^(W-1) a cube integral may tabulate: 32 MiB per float64 table.
+# Weight 6 at its default 21 nodes needs 4,084,101 entries; weight 8 would
+# need 21^7, a 13.4 GiB table.
+TABLE_ENTRY_LIMIT = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -59,23 +63,6 @@ class CubicalIntegrand:
     rows: tuple[tuple[int, int], ...]  # expanded intervals, all exponents 1
     measure_exponents: tuple[int, ...]  # coverage - 1 per variable, >= 0
     coefficient: Rat
-
-    def evaluate(self, point: Sequence[float]) -> float:
-        """The absorbed integrand: product of x_c^(m_c) over variables and
-        of 1/(1 - P_j) over rows (the P_j numerators cancel one 1/x_c per
-        coverage, leaving the nonnegative measure exponents)."""
-        if len(point) != self.width:
-            raise ValueError(f"need {self.width} coordinates")
-        val = float(self.coefficient)
-        for a, b in self.rows:
-            p = 1.0
-            for c in range(a, b + 1):
-                p *= point[c - 1]
-            val /= 1.0 - p
-        for c, m in enumerate(self.measure_exponents):
-            if m:
-                val *= point[c] ** m
-        return val
 
 
 def cubical_integrand(t: Term) -> CubicalIntegrand:
@@ -155,7 +142,9 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     estimate compares against the same rule at half the node count; the
     reported cutoff is the node count the rule actually used.  Below 8 nodes
     both rules are the same 7-point rule, so there is no estimate and the
-    error is reported as infinite."""
+    error is reported as infinite.  Raises ParseError, before tabulating
+    anything, when n nodes at weight W would need a table of n^(W-1) entries
+    above TABLE_ENTRY_LIMIT."""
     if nodes is not None and nodes < 1:
         raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):
@@ -166,6 +155,12 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     ci = cubical_integrand(t)
     if nodes is None:
         nodes = DEFAULT_NODE_COUNTS.get(ci.width, 21)
+    if nodes ** (ci.width - 1) > TABLE_ENTRY_LIMIT:
+        raise ParseError(
+            f"a cube integral of weight {ci.width} at {nodes} nodes needs a "
+            f"table of {nodes}^{ci.width - 1} entries, more than "
+            f"{TABLE_ENTRY_LIMIT}"
+        )
     rule = tanh_sinh_nodes(nodes)
     coarse_rule = tanh_sinh_nodes(max(7, (nodes // 2) | 1))
     used = len(rule[0])

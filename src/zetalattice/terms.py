@@ -323,7 +323,10 @@ def direct_sum(t1: Term, t2: Term) -> Term:
 
 def kernel_at(t: Term, point: Sequence[Rat]) -> Rat:
     """Exact kernel value coefficient * prod_c L_c(z)^(-k_c) at a rational
-    point z (one value per row, in the term's row order)."""
+    point z (one value per row, in the term's row order).  Nothing in the
+    package calls it: it is the plain Fraction reference that the tests of
+    the moves and of numeric's integer step checks compare against, and it
+    stays public as such."""
     if len(point) != t.depth:
         raise ValueError(f"point has {len(point)} entries for depth {t.depth}")
     val = Rat(t.coefficient)

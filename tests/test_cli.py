@@ -48,6 +48,24 @@ def test_reduce_output_is_byte_identical():
     assert a == b
 
 
+def test_a_divergent_term_of_coefficient_zero_reduces_as_divergent(capsys):
+    zero = '{"rows": [[1,1]], "exponents": [1], "coefficient": "0"}'
+    assert cli.main(["reduce", zero]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mzv"] == [] and out["input_convergent"] is False
+    # check refuses the same term as divergent
+    assert cli.main(["check", zero]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "DivergentSeries"
+
+
+def test_an_oversized_integral_exits_2(capsys):
+    # weight 9 at the default 21 nodes: refused before any table is built
+    big = '{"rows": [[1,8]], "exponents": [1,1,1,1,1,1,1,2]}'
+    assert cli.main(["integral", big]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ParseError" and "21 nodes" in err["error"]
+
+
 def test_check_command_and_exit_codes():
     assert json.loads(run_cli("check", TORNHEIM).stdout)["passed"] is True
     # an absurd tolerance turns the same comparison into a failure, exit 1

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as Rat
 
 import pytest
@@ -5,12 +6,9 @@ import pytest
 from zetalattice import engine, numeric, terms
 from zetalattice.engine import (
     ReductionTrace,
-    _comp_subterm,
-    boundary_term,
     first_mismatch,
     merge_step,
     reduce_to_mzv,
-    split_defect_vanishes,
     trace_replay,
 )
 from zetalattice.errors import (
@@ -19,7 +17,13 @@ from zetalattice.errors import (
     ParseError,
     TermBudgetExceeded,
 )
-from zetalattice.moves import TraceRecord, forward_split
+from zetalattice.moves import (
+    TraceRecord,
+    _comp_subterm,
+    boundary_term,
+    forward_split,
+    split_defect_vanishes,
+)
 from zetalattice.terms import (
     Term,
     canonical_term,
@@ -143,6 +147,18 @@ def test_inadmissible_staircase_is_emitted_formally():
     assert res.combination == {(1, 2): Rat(1)}
     assert not res.input_convergent
     assert not res.divergent_cancelled
+
+
+def test_a_divergent_source_of_coefficient_zero_is_not_convergent():
+    # the zero term leaves the pool at once; convergence is read off the
+    # source, which may be a one-shot iterable
+    zero = term([(1, 1)], [1], coefficient=0)
+    for source in (zero, [zero], iter([zero]), [zero, TORNHEIM.scaled(0)]):
+        res = reduce_to_mzv(source)
+        assert res.combination == {} and not res.trace.records
+        assert not res.input_convergent
+    assert reduce_to_mzv(TORNHEIM.scaled(0)).input_convergent
+    assert not reduce_to_mzv(iter([zero, TORNHEIM])).input_convergent
 
 
 def test_divergent_inputs_reduce_formally_and_replay():
@@ -300,7 +316,7 @@ PARKING = term([(1, 3), (1, 5), (2, 3), (3, 4)], [1, 1, 2, 1, 1])
 def cold_expansions(monkeypatch):
     """An empty expansion table for this test, and counters of the searches
     that expanding a shape makes."""
-    monkeypatch.setattr(engine, "_expansions", {})
+    engine._expansion.cache_clear()
     monkeypatch.setattr(terms, "_interned", {})
     calls = {"find_circuit": 0, "guarded_moves": 0}
     for name in calls:
@@ -361,18 +377,20 @@ def test_formal_and_convergent_reductions_keep_separate_entries(cold_expansions)
     assert not converges(shape)
     assert next(engine.guarded_moves(shape, False), None) is None
     assert next(engine.guarded_moves(shape, True), None) is not None
-    key = (shape.pattern.rows, shape.exponents)
-    assert engine._expansions[(*key, False)].parks
+    key = (shape.pattern, shape.exponents)
+    hits = engine._expansion.cache_info().hits
+    assert engine._expansion(*key, False).parks
     res = reduce_to_mzv(shape)
     assert not res.input_convergent
-    assert not engine._expansions[(*key, True)].parks
-    engine._expansions.clear()
+    assert not engine._expansion(*key, True).parks
+    assert engine._expansion.cache_info().hits == hits + 2
+    engine._expansion.cache_clear()
     assert reduce_to_mzv(shape).trace.to_json_lines() == res.trace.to_json_lines()
 
 
 def test_a_failed_call_leaves_the_table_usable(cold_expansions):
     want = {t: reduce_to_mzv(t).trace.to_json_lines() for t in (TORNHEIM, LOOPING)}
-    engine._expansions.clear()
+    engine._expansion.cache_clear()
     for _ in range(2):
         with pytest.raises(TermBudgetExceeded, match="budget of 40"):
             reduce_to_mzv(LOOPING, max_terms=40)
@@ -385,23 +403,14 @@ def test_a_failed_call_leaves_the_table_usable(cold_expansions):
 
 def test_the_expansion_table_is_bounded(cold_expansions, monkeypatch):
     want = reduce_to_mzv(LOOPING).trace.to_json_lines()
-    monkeypatch.setattr(engine, "EXPANSION_BOUND", 3)
-    engine._expansions.clear()
+    info = engine._expansion.cache_info()
+    assert info.maxsize == engine.EXPANSION_BOUND
+    assert 0 < info.currsize <= info.maxsize
+    small = functools.lru_cache(maxsize=3)(engine._expansion.__wrapped__)
+    monkeypatch.setattr(engine, "_expansion", small)
     # evicting all but three shapes changes no byte of the trace
     assert reduce_to_mzv(LOOPING).trace.to_json_lines() == want
-    assert len(engine._expansions) == 3
-    engine._expansions.clear()
-    shapes = (TORNHEIM, STICKY, REVISITING, LOOPING)
-    t0, t1, t2, t3 = (canonical_term(t) for t in shapes)
-    for t in (t0, t1, t2, t0, t3):
-        engine._expansion(t, False)
-    assert len(engine._expansions) == 3
-    # t0 was used again, so t1 is the least recently used and went first
-    calls = cold_expansions["find_circuit"]
-    engine._expansion(t0, False)
-    assert cold_expansions["find_circuit"] == calls
-    engine._expansion(t1, False)
-    assert cold_expansions["find_circuit"] == calls + 1
+    assert small.cache_info().currsize == 3
 
 
 def test_verify_checks_every_replayed_record(monkeypatch):

@@ -1,11 +1,14 @@
-"""Byte-level regression pins for two fixed input sets.
+"""Byte-level regression pins for three fixed input sets.
 
 Each full digest covers, for each term in input order, the JSON of its
 word combination and the JSONL of its trace from a plain ``reduce_to_mzv``;
 each words digest covers the combination JSON alone, so a change of the
 trace layout leaves it standing.  corpus200 pins the convergent path; the
-divergent small terms pin formal mode, where the boundary guard is waived.
-A change that alters either on purpose must say so and update the digest.
+divergent small terms pin formal mode, where the boundary guard is waived;
+the depth-4 corpus pins deep revisits of the same shapes and parking, a
+parked term contributing the JSON of its ParkedTermsError.terms instead.
+A change that alters any of them on purpose must say so and update the
+digest.
 """
 
 import hashlib
@@ -14,8 +17,9 @@ import json
 
 import pytest
 
+from zetalattice.corpus import random_corpus
 from zetalattice.engine import reduce_to_mzv
-from zetalattice.errors import ZetaLatticeError
+from zetalattice.errors import ParkedTermsError, ZetaLatticeError
 from zetalattice.terms import combination_to_json, converges, term
 
 CORPUS200_DIGEST = "babeff992d71ef84b4e9c5b1a905a33f325ef3662516b31deea8b95328d9e8cc"
@@ -28,6 +32,7 @@ CORPUS200_WORDS_DIGEST = (
 DIVERGENT_SMALL_WORDS_DIGEST = (
     "7c7c9fb59eab8eecb8ae3ff7284c7dfee968be898cfef2f3e789618fb931abf5"
 )
+DEEP4_DIGEST = "db83a1e11f18b80a5f14b043464050e967f2c777788623b1c52a47fed2ea29b5"
 
 
 def corpus_digests(terms) -> tuple[str, str]:
@@ -86,3 +91,20 @@ def test_formal_reductions_of_divergent_small_terms_are_pinned(
     divergent_small_digests,
 ):
     assert divergent_small_digests[1] == DIVERGENT_SMALL_DIGEST
+
+
+def test_deep4_reductions_and_parked_terms_are_pinned():
+    terms = random_corpus(seed=11, count=60, max_depth=4, max_weight=7)
+    digest, parked = hashlib.sha256(), 0
+    for t in terms:
+        try:
+            res = reduce_to_mzv(t)
+        except ParkedTermsError as e:
+            parked += 1
+            digest.update(json.dumps(e.terms, sort_keys=True).encode() + b"\n")
+            continue
+        line = json.dumps(combination_to_json(res.combination), sort_keys=True)
+        digest.update(line.encode() + b"\n")
+        digest.update(res.trace.to_json_lines().encode())
+    assert parked == 6
+    assert digest.hexdigest() == DEEP4_DIGEST

@@ -9,7 +9,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from zetalattice import numeric, terms
-from zetalattice.engine import _scaled_record, reduce_to_mzv
+from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
 from zetalattice.moves import TraceRecord
 from zetalattice.numeric import (
@@ -545,12 +545,22 @@ def test_a_failing_record_fails_every_time(cold_table):
     assert numeric._checked == {}
 
 
+def scaled_record(rec: TraceRecord, lam: Rat) -> TraceRecord:
+    """``rec`` with its input, its outputs and an emitted coefficient times
+    ``lam``: the same relation."""
+    params = dict(rec.params)
+    if "coeff" in params:
+        params["coeff"] = str(Rat(params["coeff"]) * lam)
+    outs = tuple(o.scaled(lam) for o in rec.outputs)
+    return TraceRecord(rec.move, rec.input.scaled(lam), outs, params)
+
+
 def test_a_scaled_record_is_not_checked_again(cold_table):
     for rec in one_record_per_kind():
         check_record(rec, random.Random(0))
         before = dict(cold_table)
         for lam in (Rat(3, 7), Rat(-2)):
-            check_record(_scaled_record(rec, lam), random.Random(0))
+            check_record(scaled_record(rec, lam), random.Random(0))
         assert cold_table == before, rec.move
     assert sum(cold_table.values()) > 0
 
@@ -583,7 +593,7 @@ def test_a_record_without_a_key_is_checked_every_time(cold_table):
     # a zero input coefficient (no ZeroDivisionError), or a param with no
     # hashable form
     records = one_record_per_kind()
-    odd = [_scaled_record(rec, Rat(0)) for rec in records]
+    odd = [scaled_record(rec, Rat(0)) for rec in records]
     odd += [
         TraceRecord(rec.move, rec.input, rec.outputs, dict(rec.params, note={}))
         for rec in records

@@ -7,9 +7,10 @@ from fractions import Fraction as Rat
 import numpy as np
 import pytest
 
-from zetalattice.errors import CycleDetected, DivergentSeries
+from zetalattice.errors import CycleDetected, DivergentSeries, ParseError
 from zetalattice.numeric import eval_term
 from zetalattice.periods import (
+    TABLE_ENTRY_LIMIT,
     CubicalIntegrand,
     _ts_value,
     cubical_integrand,
@@ -146,10 +147,28 @@ def test_integral_refuses_divergent_terms():
         integral_eval(term([(1, 2), (1, 3), (2, 3)], [1, 1, 1]))
 
 
+def test_integral_refuses_oversized_tables_before_tabulating():
+    # weight 9 at the default 21 nodes: tables of up to 21^8 entries
+    t = term([(1, 8)], [1, 1, 1, 1, 1, 1, 1, 2])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="weight 9 at 21 nodes"):
+            integral_eval(t)
+        with pytest.raises(ParseError, match="weight 2 at"):
+            integral_eval(term([(1, 1)], [2]), TABLE_ENTRY_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
 def test_integrand_is_finite_inside_the_cube():
-    ci = cubical_integrand(term([(1, 2), (2, 3)], [1, 1, 1]))
-    v = ci.evaluate([0.3, 0.5, 0.7])
-    assert math.isfinite(v) and v > 0
+    # the absorbed integrand is prod x_c^(m_c) / prod (1 - P_j); inside the
+    # open cube every P_j < 1, so it is finite there when no m_c is negative
+    for rows, exps in [([(1, 2), (2, 3)], [1, 1, 1]), ([(1, 1), (1, 2)], [3, 2])]:
+        ci = cubical_integrand(term(rows, exps))
+        assert len(ci.measure_exponents) == ci.width == sum(exps)
+        assert all(m >= 0 for m in ci.measure_exponents)
 
 
 def test_tanh_sinh_rule_is_symmetric_and_positive():
