@@ -5,9 +5,11 @@ a statement about infinite sums; on truncated boxes it leaves a boundary.
 Usually the boundary tends to zero and the move is free.  On some depth-3
 shapes it tends to a nonzero constant: exactly zeta(2) times the series of
 the rows and columns the pair never touched.  The engine detects this from
-the exponent bookkeeping alone, applies the split anyway, and adds the exact
-compensation words to the output.  The move log keeps the payload, so the
-claim is replayable and checkable after the fact.
+the exponent bookkeeping alone, applies the split anyway, and books that
+constant as the split's fourth output: the boundary term, which the pool
+reduces like any other term.  The move log keeps it, so the claim is
+replayable and checkable after the fact; this demo prints each boundary
+term found there and the words it reduces to.
 """
 
 from zetalattice import (

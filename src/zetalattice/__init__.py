@@ -86,9 +86,7 @@ from .numeric import (
     step_check_rational,
 )
 from .periods import (
-    CubicalIntegrand,
     FormMonomial,
-    cubical_integrand,
     forest_expand,
     integral_eval,
     monomial_value,
@@ -118,8 +116,7 @@ __all__ = [
     "trace_replay", "merge_step",
     "CheckReport", "EvalReport", "check_record", "check_reduction",
     "eval_mzv", "eval_term", "step_check_lattice", "step_check_rational",
-    "CubicalIntegrand", "FormMonomial", "cubical_integrand",
-    "forest_expand", "integral_eval", "monomial_value",
+    "FormMonomial", "forest_expand", "integral_eval", "monomial_value",
     "simplicial_coefficient", "tanh_sinh_nodes",
     "random_corpus",
     "__version__",

@@ -31,6 +31,7 @@ from .errors import (
 from . import engine, numeric, periods
 from .corpus import random_corpus
 from .terms import (
+    Pattern,
     Rat,
     combination_to_json,
     converges,
@@ -64,16 +65,32 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
-def _write_trace(path: str, trace: engine.ReductionTrace) -> None:
-    Path(path).write_text(trace.to_json_lines())
+def _reduce(args):
+    """The term of ``args``, read and reduced, with the reduction's trace
+    written to ``--trace`` when given: the part reduce and check share."""
+    t = _read_term(args.term)
+    res = engine.reduce_to_mzv(
+        t, max_terms=args.max_terms, verify=args.verify, seed=args.seed
+    )
+    if args.trace:
+        Path(args.trace).write_text(res.trace.to_json_lines())
+    return t, res
 
 
-def _sample_point(rng: random.Random, width: int) -> list:
-    """``width`` distinct coordinates in (0, 1): the forest identity is
-    checked away from the poles of the simplicial form, where two
-    coordinates meet."""
-    q = max(61, width + 1)
-    return [Rat(x, q) for x in rng.sample(range(1, q), width)]
+def _checked_forest(pattern: Pattern, seed: int) -> list:
+    """forest_expand(pattern), checked as an exact identity at one point of
+    ``width`` distinct coordinates in (0, 1), drawn from ``seed``: away from
+    the poles of the simplicial form, where two coordinates meet.  Raises
+    CheckFailed naming the point when the two sides differ."""
+    monomials = periods.forest_expand(pattern)
+    q = max(61, pattern.width + 1)
+    point = [Rat(x, q) for x in random.Random(seed).sample(range(1, q), pattern.width)]
+    rhs = sum((periods.monomial_value(m, point) for m in monomials), start=Rat(0))
+    if periods.simplicial_coefficient(pattern, point) != rhs:
+        raise CheckFailed(
+            f"forest expansion of rows {list(pattern.rows)} disagrees at {point}"
+        )
+    return monomials
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +120,7 @@ def cmd_converges(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t = _read_term(args.term)
-    res = engine.reduce_to_mzv(
-        t, max_terms=args.max_terms, verify=args.verify, seed=args.seed
-    )
-    if args.trace:
-        _write_trace(args.trace, res.trace)
+    t, res = _reduce(args)
     out = {
         "input": term_to_json(canonical_term(t)),
         "input_convergent": res.input_convergent,
@@ -129,12 +141,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t = _read_term(args.term)
-    res = engine.reduce_to_mzv(
-        t, max_terms=args.max_terms, verify=args.verify, seed=args.seed
-    )
-    if args.trace:
-        _write_trace(args.trace, res.trace)
+    t, res = _reduce(args)
     report = numeric.check_reduction(t, res.combination, tol=args.tol, N=args.N)
     out = report.to_json()
     out.update(combination_to_json(res.combination))
@@ -172,16 +179,7 @@ def cmd_integral(args) -> int:
 
 
 def cmd_forest(args) -> int:
-    t = _read_term(args.term)
-    pat = expand(t)
-    monomials = periods.forest_expand(pat)
-    point = _sample_point(random.Random(args.seed), pat.width)
-    lhs = periods.simplicial_coefficient(pat, point)
-    rhs = sum(
-        (periods.monomial_value(m, point) for m in monomials), start=Rat(0)
-    )
-    if lhs != rhs:
-        raise CheckFailed(f"forest expansion disagrees at {point}")
+    monomials = _checked_forest(expand(_read_term(args.term)), args.seed)
     _emit(
         {
             "count": len(monomials),
@@ -249,14 +247,8 @@ def cmd_selftest(args) -> int:
         ([[1, 3], [2, 3], [3, 3]], [1, 1, 1]),
     ):
         t = canonical_term(parse_term(json.dumps({"rows": rows, "exponents": exps})))
-        pat = expand(t)
-        monos = periods.forest_expand(pat)
-        pt = _sample_point(random.Random(args.seed), pat.width)
-        ok(
-            periods.simplicial_coefficient(pat, pt)
-            == sum((periods.monomial_value(m, pt) for m in monos), start=Rat(0)),
-            f"forest identity for rows {rows}",
-        )
+        _checked_forest(expand(t), args.seed)
+        checks += 1
 
     small = random_corpus(seed=args.seed or 7, count=8, max_depth=2, max_weight=5)
     for t in small:
@@ -290,12 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "parse and canonicalize a term")
     add("converges", cmd_converges, "series convergence of a term")
 
-    sp = add("reduce", cmd_reduce, "rewrite a term into zeta words")
-    sp.add_argument("--max-terms", type=int, default=100_000)
-    sp.add_argument("--verify", action="store_true",
-                    help="run exact per-step checks while reducing")
-    sp.add_argument("--trace", metavar="FILE", help="write the move log as JSON lines")
-    sp.add_argument("--seed", type=int, default=0)
+    for name, fn, help_ in (
+        ("reduce", cmd_reduce, "rewrite a term into zeta words"),
+        ("check", cmd_check, "reduce, then compare numerics on both sides"),
+    ):
+        sp = add(name, fn, help_)
+        sp.add_argument("--max-terms", type=int, default=100_000)
+        sp.add_argument("--verify", action="store_true",
+                        help="run exact per-step checks while reducing")
+        sp.add_argument("--trace", metavar="FILE",
+                        help="write the move log as JSON lines")
+        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--N", type=int, default=None)
+    sp.add_argument("--tol", type=float, default=1e-3)
 
     sp = add("eval", cmd_eval, "numeric value of a convergent term")
     sp.add_argument(
@@ -304,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cutoff of the box of all rows but the one summed to infinity",
     )
-
-    sp = add("check", cmd_check, "reduce, then compare numerics on both sides")
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--max-terms", type=int, default=100_000)
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--trace", metavar="FILE")
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("mzv", help="numeric value of an admissible zeta word")
     sp.add_argument("word", help="comma-separated positive integers, e.g. 2,1")

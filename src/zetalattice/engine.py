@@ -54,7 +54,7 @@ coefficient is the input coefficient times a rational fixed by the shape.
 So a shape's expansion at coefficient 1 is a pure function of the shape
 (pattern, exponents, and whether the reduction is formal: stage (c) exists
 only then): the trace records, the canonical outputs with their term_key,
-the emitted word, the passes of a merge's inner loop, or the fact that the
+the emitted word and the passes of a merge's inner loop, or None when the
 term parks.  _expansion memoises it for the whole process, the last
 EXPANSION_BOUND shapes kept, with one interned copy of each term, pattern,
 exponent tuple, coefficient and term key it stores.  Every pop, in this
@@ -218,21 +218,33 @@ def guarded_moves(t: Term, formal: bool):
     waived."""
     place = first_mismatch(t)
     leads = [] if place is None else [(place[0] - 1, place[1] - 1, t, None)]
-    for a, b, src, outs in itertools.chain(leads, _split_candidates(t)):
+    candidates = list(_split_candidates(t))
+    for a, b, src, outs in leads + candidates:
         if split_defect_vanishes(src, a, b):
             yield a, b, outs, None
-    for a, b, src, outs in _split_candidates(t):
+    for a, b, src, outs in candidates:
         boundary = boundary_term(src, a, b)
         if boundary is not None:
             yield a, b, outs, boundary
     if formal:
-        inverse = (c for c in _split_candidates(t) if c[3] is not None)
-        for a, b, _, outs in itertools.chain(inverse, leads):
+        inverse = [c for c in candidates if c[3] is not None]
+        for a, b, _, outs in inverse + leads:
             yield a, b, outs, None
 
 
 # ---------------------------------------------------------------------------
 # the merge step
+
+
+def _pf_record(t: Term, circuit, pivot: int) -> TraceRecord:
+    """The partial-fraction step of ``t`` over ``circuit`` at ``pivot``, as
+    its trace record."""
+    params = {
+        "members": list(circuit.members),
+        "coefficients": [str(c) for c in circuit.coefficients],
+        "pivot": pivot,
+    }
+    return TraceRecord("pf_step", t, tuple(pf_step(t, circuit, pivot)), params)
 
 
 def merge_step(
@@ -266,17 +278,11 @@ def merge_step(
         TraceRecord("insert_aux", c1, (aux_t,), {"pair": [i, j], "aux": aux_pos})
     )
     circuit = aux_circuit(aux_t, aux_pos)
-    params = {
-        "members": list(circuit.members),
-        "coefficients": [str(c) for c in circuit.coefficients],
-        "pivot": aux_pos - 1,
-    }
     work = [aux_t]
     while work:
-        src = work.pop()
-        outs = pf_step(src, circuit, aux_pos - 1)
-        recorder(TraceRecord("pf_step", src, tuple(outs), dict(params)))
-        for raw in outs:
+        rec = _pf_record(work.pop(), circuit, aux_pos - 1)
+        recorder(rec)
+        for raw in rec.outputs:
             if raw.width > t.width:
                 # member exponent still positive: no column vanished yet
                 work.append(raw)
@@ -299,16 +305,14 @@ def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[T
 class _Expansion:
     """What the driver does with one popped shape at coefficient 1: the
     trace records (see _stored), the canonical outputs and their term_keys,
-    the emitted word, the budget ticks of a merge's inner loop, or the fact
-    that the term parks.  Nothing in it is mutable, and its terms and keys
-    are interned."""
+    the emitted word and the budget ticks of a merge's inner loop.  Nothing
+    in it is mutable, and its terms and keys are interned."""
 
-    records: tuple = ()
-    outputs: tuple = ()
-    keys: tuple = ()
-    word: Optional[Word] = None
-    ticks: int = 0
-    parks: bool = False
+    records: tuple
+    outputs: tuple
+    keys: tuple
+    word: Optional[Word]
+    ticks: int
 
 
 def _shared(t: Term) -> Term:
@@ -363,10 +367,10 @@ EXPANSION_BOUND = 2048  # shapes kept
 @functools.lru_cache(maxsize=EXPANSION_BOUND)
 def _expansion(
     pattern: Pattern, exponents: tuple[int, ...], formal: bool
-) -> _Expansion:
+) -> Optional[_Expansion]:
     """Choose and make the move for a popped canonical term of this shape at
     coefficient 1 (see the module docstring for the priority), without
-    touching the driver's state."""
+    touching the driver's state; None when the term parks."""
     t = Term(pattern, exponents, Rat(1))
     records: list[TraceRecord] = []
     outputs: list[tuple[Term, tuple]] = []
@@ -378,21 +382,14 @@ def _expansion(
             TraceRecord("emit", t, (), {"word": list(word), "coeff": str(coeff)})
         )
     elif (circuit := find_circuit(t.pattern.columns())) is not None:
-        pivot = max(circuit.members)
-        outs = pf_step(t, circuit, pivot)
-        params = {
-            "members": list(circuit.members),
-            "coefficients": [str(c) for c in circuit.coefficients],
-            "pivot": pivot,
-        }
-        records.append(TraceRecord("pf_step", t, tuple(outs), params))
-        outputs = _keyed(outs)
+        records.append(_pf_record(t, circuit, max(circuit.members)))
+        outputs = _keyed(records[0].outputs)
     else:
         move = next(guarded_moves(t, formal), None)
         if move is None:
             if formal:
                 raise ProgressViolation(f"no applicable move for {t}")
-            return _Expansion(parks=True)
+            return None
         a, b, outs, boundary = move
         if outs is not None:
             if boundary is not None:
@@ -458,7 +455,7 @@ def reduce_to_mzv(
         assert t.weight == input_weight
 
         exp = _expansion(t.pattern, t.exponents, not input_convergent)
-        if exp.parks:
+        if exp is None:
             parked[term_key(t)] = t
             continue
         # Every move is linear in the coefficient, so a visit is the

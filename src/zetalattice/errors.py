@@ -40,8 +40,12 @@ class NotChain(ZetaLatticeError):
 
 class ParseError(ZetaLatticeError, ValueError):
     """Malformed JSON / word syntax on an external interface, a summation
-    cutoff or node count below 1, or a cube integral whose node count and
-    weight ask for a table above periods.TABLE_ENTRY_LIMIT."""
+    cutoff or node count below 1, a number the program cannot hold as
+    written (a coefficient with more digits than sys.get_int_max_str_digits()
+    allows, or a coefficient or numeric value outside the float range), or
+    a numeric oracle whose cutoff or node count asks for a table above
+    numeric.TABLE_ENTRY_LIMIT: a cube integral, the series of a term or of
+    a word."""
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,34 @@ DEPTH_CUTOFFS = {1: 1_000_000, 2: 3000, 3: 600}
 _CHUNK = 1 << 16
 LATTICE_BOUND = 6  # a harmonic split is checked on the box [1, 6]^depth
 RATIONAL_POINTS = 10  # random integer points per rational identity
+# Largest table a numeric oracle may build, in entries: 32 MiB of float64.
+# A cube integral of weight 6 at its default 21 nodes needs 4,084,101
+# entries; a series at its default cutoff at most 390,625 points per slab
+# through depth 6 (depth 7 would need 25^5).
+TABLE_ENTRY_LIMIT = 1 << 22
 
 
 def default_cutoff(depth: int) -> int:
     return DEPTH_CUTOFFS.get(depth, 25)
+
+
+def refuse_table(entries: int, needs: str) -> None:
+    """Raise ParseError, ``needs`` saying what needs the table, when it has
+    more than TABLE_ENTRY_LIMIT entries; called before anything is built."""
+    if entries > TABLE_ENTRY_LIMIT:
+        raise ParseError(f"{needs}, more than {TABLE_ENTRY_LIMIT}")
+
+
+def finite_float(x, what: str) -> float:
+    """float(x), or ParseError naming ``what`` when it is outside the float
+    range: float() overflows, or a product overflowed to inf."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{what} is outside the float range")
+    return value
 
 
 @dataclass
@@ -131,12 +155,14 @@ def _tails(K: int, top: int) -> dict[int, np.ndarray]:
     L = max(top, _TAIL_TABLE_MIN)
     inv = 1.0 / np.arange(1.0, L + 1.0)
     tail = {1: -np.concatenate(([0.0], np.cumsum(inv[:top])))}
+    power = inv  # inv^j, carried: the same products, in order, as _power
     for j in range(2, K + 1):
+        power = power * inv
         rest = L ** (1.0 - j) / (j - 1) - L ** (-j) / 2.0
         rest += j * L ** (-j - 1.0) / 12.0
         rest -= j * (j + 1) * (j + 2) * L ** (-j - 3.0) / 720.0
         rest += j * (j + 1) * (j + 2) * (j + 3) * (j + 4) * L ** (-j - 5.0) / 30240.0
-        rev = np.cumsum(_power(inv, j)[::-1])[::-1]  # rev[s] = sum_{s<i<=L} i^(-j)
+        rev = np.cumsum(power[::-1])[::-1]  # rev[s] = sum_{s<i<=L} i^(-j)
         tail[j] = np.concatenate((rev, [0.0]))[: top + 1] + rest
     return tail
 
@@ -184,9 +210,15 @@ def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
     Ks = list(shifts.values())
 
     N = max(ns)
-    tail = _tails(max(Ks), N * max(bin(s).count("1") for s in shifts))
-
+    K, top = max(Ks), N * max(bin(s).count("1") for s in shifts)
+    L = max(top, _TAIL_TABLE_MIN)  # as in _tails
+    needs = f"a depth-{d} series at cutoff {N} needs"
+    refuse_table(K * (L + 1), f"{needs} tail tables of {K} x {L + 1} entries")
     step = max(1, _CHUNK // N ** max(d - 2, 0))
+    if d > 1:
+        slab = f"{min(step, N)} x {N}^{d - 2}"
+        refuse_table(min(step, N) * N ** (d - 2), f"{needs} slabs of {slab} points")
+    tail = _tails(K, top)
     unit = (1,) * (d - 1)
     pieces: list[list[float]] = [[] for _ in ns]
     for lo in range(0, N if d > 1 else 1, step):  # depth 1: one slab, no axes
@@ -257,7 +289,9 @@ def _cutoff_ladder(partials: Callable[[list[int]], list[float]], N: int) -> Eval
 
 
 def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
-    """Extrapolated numeric value of a convergent term's lattice series."""
+    """Extrapolated numeric value of a convergent term's lattice series.
+    Raises ParseError when a table would exceed TABLE_ENTRY_LIMIT, or the
+    coefficient or the value is outside the float range."""
     if N is not None and N < 1:
         raise ParseError(f"cutoff N must be at least 1, got {N}")
     if not converges(t):
@@ -267,7 +301,10 @@ def eval_term(t: Term, N: Optional[int] = None) -> EvalReport:
         )
     if N is None:
         N = default_cutoff(t.depth)
-    return _cutoff_ladder(lambda ns: _partial_sums(t, ns), N)
+    finite_float(t.coefficient, "the coefficient of the term")
+    report = _cutoff_ladder(lambda ns: _partial_sums(t, ns), N)
+    finite_float(report.value, "the value of the series")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +335,7 @@ def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
         raise DivergentWord(f"zeta{w} diverges (first part < 2)")
     if N < 1:
         raise ParseError(f"cutoff N must be at least 1, got {N}")
+    refuse_table(N, f"zeta{w} at cutoff {N} needs a table of {N} entries")
     return _cutoff_ladder(lambda ns: _word_partials(w, ns), N)
 
 
@@ -339,7 +377,8 @@ def check_reduction(
     word_N: int = 100_000,
 ) -> CheckReport:
     """Compare the term's own series against the claimed word combination.
-    The tolerance must be finite and non-negative."""
+    The tolerance must be finite and non-negative, and every coefficient
+    and value within the float range."""
     if not 0 <= tol < math.inf:
         raise ParseError(f"tolerance must be finite and non-negative, got {tol}")
     bad = [w for w, c in combination.items() if c != 0 and not is_admissible(w)]
@@ -348,8 +387,10 @@ def check_reduction(
     series = eval_term(t, N)
     words_value = 0.0
     for w in sorted(combination):
-        words_value += float(combination[w]) * _word_value(w, word_N)
-    diff = abs(series.value - words_value)
+        c = finite_float(combination[w], f"the coefficient of zeta{w}")
+        words_value += c * _word_value(w, word_N)
+    finite_float(words_value, "the value of the words")
+    diff = finite_float(abs(series.value - words_value), "the difference")
     return CheckReport(diff <= tol, series.value, words_value, diff, tol, series)
 
 
@@ -534,18 +575,6 @@ CHECKED_BOUND = 4096  # relations kept, as many as _word_value's memo
 _checked: dict = {}
 
 
-def _frozen(v):
-    """A parameter value made hashable without merging values that a check
-    could tell apart: lists become tuples, and any other value that is not
-    an int or a string carries its type."""
-    if type(v) is int or type(v) is str:
-        return v
-    if type(v) is list or type(v) is tuple:
-        return tuple(map(_frozen, v))
-    hash(v)  # a dict or a set raises TypeError: no key
-    return type(v), v
-
-
 def _over(c: Rat, un: int, ud: int) -> tuple[int, int]:
     """c / (un / ud) in lowest terms, with a positive denominator."""
     n, d = c.numerator * ud, c.denominator * un
@@ -558,23 +587,26 @@ def _relation_key(rec: TraceRecord) -> Optional[tuple]:
     the move, the params as (name, value, name, value, ...) with an emitted
     ``coeff`` divided too, the input's shape, then the shape and the scaled
     coefficient of each output in order, the coefficient as numerator and
-    denominator > 0 in lowest terms.  None when the input coefficient is 0
-    or a param has no exact normal form."""
+    denominator > 0 in lowest terms.  None when the input coefficient is 0,
+    the ``coeff`` is not a rational, or another param is not an int, a str
+    or a flat list of them, as every param the engine writes is."""
     unit = rec.input.coefficient
     if unit == 0:
         return None
     un, ud = unit.numerator, unit.denominator
     params = []
-    try:
-        for name, v in rec.params.items():
-            if name == "coeff":
+    for name, v in rec.params.items():
+        if name == "coeff":
+            try:
                 # the engine writes str(input coefficient): a ratio of 1
                 v = _over(unit if v == str(unit) else Rat(v), un, ud)
-            else:
-                v = _frozen(v)
-            params += (name, v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        return None
+            except (TypeError, ValueError, ZeroDivisionError):
+                return None
+        elif type(v) is list and all(type(x) in (int, str) for x in v):
+            v = tuple(v)
+        elif type(v) not in (int, str):
+            return None
+        params += (name, v)
     p = rec.input.pattern
     key = [rec.move, tuple(params), p.width, p.rows, rec.input.exponents]
     for o in rec.outputs:

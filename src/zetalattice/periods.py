@@ -41,39 +41,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CycleDetected, DivergentSeries, ParseError
-from .numeric import EvalReport
+from .numeric import TABLE_ENTRY_LIMIT, EvalReport, finite_float, refuse_table
 from .terms import Pattern, Rat, Term, converges, expand
 
 DEFAULT_NODE_COUNTS = {2: 81, 3: 61, 4: 49, 5: 35}
-# Largest n^(W-1) a cube integral may tabulate: 32 MiB per float64 table.
-# Weight 6 at its default 21 nodes needs 4,084,101 entries; weight 8 would
-# need 21^7, a 13.4 GiB table.
-TABLE_ENTRY_LIMIT = 1 << 22
-
-
-# ---------------------------------------------------------------------------
-# the cubical integrand
-
-
-@dataclass(frozen=True)
-class CubicalIntegrand:
-    """Integrand data over the open unit cube of dimension ``width``."""
-
-    width: int
-    rows: tuple[tuple[int, int], ...]  # expanded intervals, all exponents 1
-    measure_exponents: tuple[int, ...]  # coverage - 1 per variable, >= 0
-    coefficient: Rat
-
-
-def cubical_integrand(t: Term) -> CubicalIntegrand:
-    pat = expand(t)
-    assert all(pat.cover)
-    return CubicalIntegrand(
-        pat.width,
-        pat.rows,
-        tuple(bin(mask).count("1") - 1 for mask in pat.cover),
-        t.coefficient,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +65,12 @@ def tanh_sinh_nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ts_value(
-    ci: CubicalIntegrand, rule: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pattern: Pattern, rule: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> float:
-    """Tanh-sinh integral of the integrand, coefficient excluded, with the
-    nodes of ``rule`` (from ``tanh_sinh_nodes``) in every variable.  Each row
+    """Tanh-sinh integral of the integrand of a fully expanded pattern,
+    coefficient excluded, with the nodes of ``rule`` (from
+    ``tanh_sinh_nodes``) in every variable; each variable's measure exponent
+    is its coverage minus one, read from ``pattern.cover``.  Each row
     factor 1/(1 - P) is tabulated on the row's own variables, 1 - P computed
     as -expm1(sum of log x) so it stays accurate at the P -> 1 faces.  The
     tables are contracted with the per-variable weights by np.einsum one node
@@ -105,7 +78,7 @@ def _ts_value(
     entries; rows that miss the first variable are tabulated once."""
     x, wts, omx = rule
     lx = np.log1p(-omx)
-    vec = [wts * x ** float(m) for m in ci.measure_exponents]
+    vec = [wts * x ** float(bin(mask).count("1") - 1) for mask in pattern.cover]
 
     def row_table(log_start, count: int) -> np.ndarray:
         # 1/(1 - P) over `count` more variables, log P summed left to right
@@ -118,10 +91,10 @@ def _ts_value(
         # einsum letters of the variables first..last (1-based, like rows)
         return "".join(chr(ord("a") + c - 1) for c in range(first, last + 1))
 
-    fixed = [(row_table(0.0, b - a + 1), axes(a, b)) for a, b in ci.rows if a > 1]
-    walked = [b for a, b in ci.rows if a == 1]
+    fixed = [(row_table(0.0, b - a + 1), axes(a, b)) for a, b in pattern.rows if a > 1]
+    walked = [b for a, b in pattern.rows if a == 1]
     subscripts = ",".join(
-        [axes(c, c) for c in range(2, ci.width + 1)]
+        [axes(c, c) for c in range(2, pattern.width + 1)]
         + [sub for _, sub in fixed]
         + [axes(2, b) for b in walked]
     ) + "->"
@@ -142,9 +115,10 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     estimate compares against the same rule at half the node count; the
     reported cutoff is the node count the rule actually used.  Below 8 nodes
     both rules are the same 7-point rule, so there is no estimate and the
-    error is reported as infinite.  Raises ParseError, before tabulating
-    anything, when n nodes at weight W would need a table of n^(W-1) entries
-    above TABLE_ENTRY_LIMIT."""
+    error is reported as infinite.  Raises ParseError, before expanding or
+    tabulating anything, when n nodes at weight W would need a table of
+    n^(W-1) entries above TABLE_ENTRY_LIMIT, and when the coefficient or the
+    value is outside the float range."""
     if nodes is not None and nodes < 1:
         raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):
@@ -152,24 +126,25 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
             f"{t} diverges: some set of rows carries no more exponent mass "
             "than its own size"
         )
-    ci = cubical_integrand(t)
+    W = t.weight  # the width of the expanded pattern
     if nodes is None:
-        nodes = DEFAULT_NODE_COUNTS.get(ci.width, 21)
-    if nodes ** (ci.width - 1) > TABLE_ENTRY_LIMIT:
-        raise ParseError(
-            f"a cube integral of weight {ci.width} at {nodes} nodes needs a "
-            f"table of {nodes}^{ci.width - 1} entries, more than "
-            f"{TABLE_ENTRY_LIMIT}"
-        )
+        nodes = DEFAULT_NODE_COUNTS.get(W, 21)
+    # at most 23 factors: any node count from 2 on is past the limit by then
+    refuse_table(
+        nodes ** min(W - 1, TABLE_ENTRY_LIMIT.bit_length()),
+        f"a cube integral of weight {W} at {nodes} nodes needs a table of "
+        f"{nodes}^{W - 1} entries",
+    )
+    c = finite_float(t.coefficient, "the coefficient of the term")
+    pattern = expand(t)
     rule = tanh_sinh_nodes(nodes)
     coarse_rule = tanh_sinh_nodes(max(7, (nodes // 2) | 1))
     used = len(rule[0])
-    fine = _ts_value(ci, rule)
-    c = float(t.coefficient)
-    value = c * fine
+    fine = _ts_value(pattern, rule)
+    value = finite_float(c * fine, "the value of the integral")
     if len(coarse_rule[0]) == used:
         return EvalReport(value, used, True, float("inf"))
-    coarse = _ts_value(ci, coarse_rule)
+    coarse = _ts_value(pattern, coarse_rule)
     err = abs(c) * abs(fine - coarse) + 1e-12 * (1.0 + abs(value))
     return EvalReport(value, used, True, err)
 
@@ -193,64 +168,49 @@ def forest_expand(pattern: Pattern) -> list[FormMonomial]:
     label-downward edges; raises CycleDetected when the rows are dependent."""
     w = pattern.width
     edges = [(a - 1, b) for a, b in pattern.rows]
+    adj: list[list[int]] = [[] for _ in range(w + 1)]  # edge indices
+    for e, (i, j) in enumerate(edges):
+        adj[i].append(e)
+        adj[j].append(e)
 
-    parent = list(range(w + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    adj: dict[int, list[int]] = {v: [] for v in range(w + 1)}
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            raise CycleDetected(f"rows form a cycle through edge ({i},{j})")
-        parent[ri] = rj
-        adj[i].append(j)
-        adj[j].append(i)
-
-    # orient every tree away from its minimal vertex
-    orient: dict[tuple[int, int], tuple[int, int]] = {}
-    seen = set()
+    # orient every tree away from its minimal vertex: child[e] is the vertex
+    # edge e points to.  An edge that reaches a vertex some other path has
+    # reached closes a cycle, parallel rows included.
+    child: list[Optional[int]] = [None] * len(edges)
+    seen = [False] * (w + 1)
     for base in range(w + 1):
-        if base in seen:
+        if seen[base]:
             continue
+        seen[base] = True
         stack = [base]
-        seen.add(base)
         while stack:
             u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    orient[(min(u, v), max(u, v))] = (u, v)
-                    stack.append(v)
+            for e in adj[u]:
+                if child[e] is not None:
+                    continue  # the edge that reached u
+                i, j = edges[e]
+                v = i + j - u
+                if seen[v]:
+                    raise CycleDetected(f"rows form a cycle through edge ({i},{j})")
+                seen[v] = True
+                child[e] = v
+                stack.append(v)
 
-    right = []  # oriented label-upward: keep the child differential as -dt_child
-    wrong = []  # oriented label-downward: split 1 + t_j/(t_i - t_j)
-    for i, j in edges:
-        frm, _ = orient[(i, j)]
-        if frm == i:
-            right.append((i, j))
-        else:
-            wrong.append((i, j))
+    # oriented label-upward (i -> j): keep the child differential as -dt_j;
+    # oriented label-downward: split 1 + t_j/(t_i - t_j)
+    right = [e for e, (_, j) in enumerate(edges) if child[e] == j]
+    wrong = [e for e, (_, j) in enumerate(edges) if child[e] != j]
 
     out = []
     for r in range(len(wrong) + 1):
         for chosen in itertools.combinations(wrong, r):
             picked = right + list(chosen)
-            targets = []
-            for i, j in picked:
-                frm, to = orient[(i, j)]
-                targets.append(to)
-            assert len(set(targets)) == len(targets) and 0 not in targets
-            factors = list(picked)
-            diffs = list(targets)
-            for v in range(1, w + 1):
-                if v not in targets:
-                    factors.append((v, w + 1))
-                    diffs.append(v)
+            factors = [edges[e] for e in picked]
+            diffs = [child[e] for e in picked]
+            assert len(set(diffs)) == len(diffs) and 0 not in diffs
+            free = [v for v in range(1, w + 1) if v not in diffs]
+            factors += [(v, w + 1) for v in free]
+            diffs += free
             order = sorted(range(w), key=lambda p: factors[p])
             perm = [diffs[p] for p in order]
             inversions = sum(

@@ -25,6 +25,8 @@ Words here follow the convention that the first entry is the exponent of the
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -165,12 +167,23 @@ def term(
 
 
 def _as_rat(x) -> Rat:
-    if isinstance(x, str):
-        try:
-            return Rat(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad rational {x!r}: {e}") from None
-    return Rat(x)
+    """``x`` as a Rat.  ParseError when a string is no rational, or when the
+    numerator or denominator has more digits than str() may write
+    (sys.get_int_max_str_digits()); a decimal exponent beyond that count is
+    refused before its power of ten is built."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    try:
+        exp = isinstance(x, str) and re.search(r"e([-+]?[\d_]+)\s*$", x, re.I)
+        if exp and abs(int(exp[1])) > limit:
+            raise ValueError(f"exponent beyond {limit}")
+        r = Rat(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational {x!r}: {e}") from None
+    big = max(abs(r.numerator), r.denominator)
+    # a number below 8^limit has at most limit digits: 10^limit is rarely built
+    if big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ParseError(f"a coefficient may have at most {limit} digits")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +544,7 @@ def parse_term(source: Union[str, dict]) -> Term:
     if isinstance(source, str):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an over-long integer
             raise ParseError(f"bad JSON: {e}") from None
     else:
         obj = source

@@ -9,7 +9,9 @@ REMOVED = {
     "linalg": ("kernel_basis",),
     "numeric": ("verify_trace",),
     "terms": ("apply_derivative", "comb_scale", "word_weight", "is_staircase"),
-    "periods": ("arnold_defect", "wedge_matrix"),
+    "periods": (
+        "arnold_defect", "wedge_matrix", "CubicalIntegrand", "cubical_integrand"
+    ),
     "errors": ("NonTermination",),
 }
 

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 from zetalattice import cli
 
@@ -112,6 +114,52 @@ def test_non_integer_term_json_exits_2(capsys):
         assert json.loads(capsys.readouterr().err)["kind"] == "ParseError", obj
     for coeff in (-4, "1/3"):
         assert cli.main(["validate", json.dumps({**zeta2, "coefficient": coeff})]) == 0
+
+
+def test_numbers_python_cannot_hold_exit_2(capsys):
+    # a JSON integer past sys.get_int_max_str_digits() (4,300 digits), and
+    # coefficients whose numerator or denominator would pass it; the last
+    # would build a power of ten of a billion digits
+    zeta2 = '{"rows": [[1, 1]], "exponents": [2], "coefficient": %s}'
+    for coeff in ("1" + "0" * 5000, '"1e5000"', '"1e-4300"', '"1e999999999"'):
+        start = time.perf_counter()
+        assert cli.main(["reduce", zeta2 % coeff]) == 2, coeff
+        assert time.perf_counter() - start < 1, coeff
+        assert json.loads(capsys.readouterr().err)["kind"] == "ParseError"
+
+
+def test_values_outside_the_float_range_exit_2(capsys):
+    # 1e400 has no float; 1.5e308 has one, but the value overflows to inf
+    for coeff in ("1e400", "1.5e308"):
+        t = json.dumps({"rows": [[1, 1]], "exponents": [2], "coefficient": coeff})
+        for command in ("eval", "check", "integral"):
+            assert cli.main([command, t]) == 2, (command, coeff)
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "ParseError", (command, coeff)
+            assert "float range" in err["error"], (command, coeff)
+
+
+def test_oversized_numeric_tables_exit_2_before_allocating(capsys):
+    chain4 = '{"rows": [[1,2],[2,3],[3,4],[4,5]], "exponents": [1,1,1,1,1]}'
+    for args in (
+        ("mzv", "2", "--N", "1000000000"),  # 10^9 floats
+        ("eval", chain4, "--N", "10000"),  # a slab of 10^8 points
+        ("eval", TORNHEIM, "--N", "1000000000"),  # tail tables of 10^9
+        # weight 10^7: 10^7 columns and a table of 21^(10^7 - 1) entries
+        ("integral", '{"rows": [[1,1]], "exponents": [10000000]}'),
+    ):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = cli.main(list(args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, args
+        assert time.perf_counter() - start < 2, args
+        assert peak < 1e6, (args, peak)
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ParseError" and "more than 4194304" in err["error"]
 
 
 def test_budget_exhaustion_exits_3():

@@ -379,10 +379,10 @@ def test_formal_and_convergent_reductions_keep_separate_entries(cold_expansions)
     assert next(engine.guarded_moves(shape, True), None) is not None
     key = (shape.pattern, shape.exponents)
     hits = engine._expansion.cache_info().hits
-    assert engine._expansion(*key, False).parks
+    assert engine._expansion(*key, False) is None
     res = reduce_to_mzv(shape)
     assert not res.input_convergent
-    assert not engine._expansion(*key, True).parks
+    assert engine._expansion(*key, True) is not None
     assert engine._expansion.cache_info().hits == hits + 2
     engine._expansion.cache_clear()
     assert reduce_to_mzv(shape).trace.to_json_lines() == res.trace.to_json_lines()

@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as Rat
@@ -10,7 +11,7 @@ import pytest
 
 from zetalattice import numeric, terms
 from zetalattice.engine import reduce_to_mzv
-from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord
+from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
 from zetalattice.moves import TraceRecord
 from zetalattice.numeric import (
     _partial_sums,
@@ -203,6 +204,14 @@ def test_divergent_inputs_are_refused():
         eval_mzv((1, 2))
 
 
+def test_a_high_power_costs_linear_time():
+    # zeta(4000) is 1 in double precision; its tail tables take one product
+    # per exponent, where a fresh power per exponent took 8 million
+    start = time.perf_counter()
+    assert eval_term(term([(1, 1)], [4000])).value == 1.0
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # whole-reduction check
 
@@ -223,6 +232,13 @@ def test_check_reduction_fails_a_false_identity():
 def test_check_reduction_refuses_divergent_words():
     with pytest.raises(CheckFailed):
         check_reduction(from_mzv((2, 1)), {(1, 2): Rat(1)})
+
+
+def test_check_reduction_refuses_word_coefficients_outside_the_float_range():
+    # float() overflows; then a float whose product with zeta(3) overflows
+    for c in (Rat(10**400), Rat(15 * 10**307)):
+        with pytest.raises(ParseError, match="float range"):
+            check_reduction(from_mzv((2, 1)), {(3,): c})
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,14 @@ from zetalattice.errors import CycleDetected, DivergentSeries, ParseError
 from zetalattice.numeric import eval_term
 from zetalattice.periods import (
     TABLE_ENTRY_LIMIT,
-    CubicalIntegrand,
     _ts_value,
-    cubical_integrand,
     forest_expand,
     integral_eval,
     monomial_value,
     simplicial_coefficient,
     tanh_sinh_nodes,
 )
-from zetalattice.terms import Pattern, term
+from zetalattice.terms import Pattern, expand, term
 
 
 def rational_point(rng, w):
@@ -64,18 +62,17 @@ def test_integral_agrees_with_the_series():
         assert gap < bar, (t, gap, bar)
 
 
-def prefix_loop_ts_value(ci, count):
+def prefix_loop_ts_value(W, rows, measure_exponents, count):
     """The former tensor rule, kept as a reference: a Python loop over the
     nodes of all but the last two variables, an n x n block for those two."""
-    W = ci.width
     x, wts, omx = tanh_sinh_nodes(count)
     n = len(x)
     lx = np.log1p(-omx)
-    xm = [x ** float(m) for m in ci.measure_exponents]
+    xm = [x ** float(m) for m in measure_exponents]
 
     if W == 1:
         vals = np.ones(n)
-        for a, b in ci.rows:
+        for a, b in rows:
             vals = vals / (-np.expm1(lx))
         return float(np.sum(wts * xm[0] * vals))
 
@@ -92,7 +89,7 @@ def prefix_loop_ts_value(ci, count):
             wpre *= wts[idx]
             mpre *= xm[c][idx]
         block = np.ones((n, n))
-        for a, b in ci.rows:
+        for a, b in rows:
             S = 0.0
             for c in range(a, b + 1):
                 if c - 1 < W - 2:
@@ -123,10 +120,10 @@ def prefix_loop_ts_value(ci, count):
 )
 def test_contracted_rule_matches_the_prefix_loop(width, rows):
     coverage = [sum(a <= c <= b for a, b in rows) for c in range(1, width + 1)]
-    ci = CubicalIntegrand(width, rows, tuple(k - 1 for k in coverage), Rat(1))
+    measure_exponents = [k - 1 for k in coverage]
     for count in (7, 9, 21):
-        want = prefix_loop_ts_value(ci, count)
-        got = _ts_value(ci, tanh_sinh_nodes(count))
+        want = prefix_loop_ts_value(width, rows, measure_exponents, count)
+        got = _ts_value(Pattern(width, rows), tanh_sinh_nodes(count))
         assert abs(got - want) <= 1e-13 * abs(want), (count, got, want)
 
 
@@ -166,9 +163,10 @@ def test_integrand_is_finite_inside_the_cube():
     # the absorbed integrand is prod x_c^(m_c) / prod (1 - P_j); inside the
     # open cube every P_j < 1, so it is finite there when no m_c is negative
     for rows, exps in [([(1, 2), (2, 3)], [1, 1, 1]), ([(1, 1), (1, 2)], [3, 2])]:
-        ci = cubical_integrand(term(rows, exps))
-        assert len(ci.measure_exponents) == ci.width == sum(exps)
-        assert all(m >= 0 for m in ci.measure_exponents)
+        pattern = expand(term(rows, exps))
+        assert len(pattern.cover) == pattern.width == sum(exps)
+        # the measure exponent of a column is its coverage minus one
+        assert all(bin(mask).count("1") - 1 >= 0 for mask in pattern.cover)
 
 
 def test_tanh_sinh_rule_is_symmetric_and_positive():
