@@ -27,7 +27,7 @@ for rec in res.trace.records:
     outs = ", ".join(str(o) for o in rec.outputs) or "-"
     extra = ""
     if rec.move == "emit":
-        extra = f"  word {rec.params['word']} coeff {rec.params['coeff']}"
+        extra = f"  word {rec.params['word']} coeff {rec.input.coefficient}"
     print(f"  {rec.move:<12} {rec.input}  ->  {outs}{extra}")
 print()
 

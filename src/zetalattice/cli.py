@@ -73,7 +73,10 @@ def _reduce(args):
         t, max_terms=args.max_terms, verify=args.verify, seed=args.seed
     )
     if args.trace:
-        Path(args.trace).write_text(res.trace.to_json_lines())
+        try:
+            Path(args.trace).write_text(res.trace.to_json_lines())
+        except OSError as e:
+            raise ParseError(f"cannot write {args.trace!r}: {e}") from None
     return t, res
 
 
@@ -304,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="cutoff of the box of all rows but the one summed to infinity",
     )
 
-    sp = sub.add_parser("mzv", help="numeric value of an admissible zeta word")
+    sp = add("mzv", cmd_mzv, "numeric value of an admissible zeta word", False)
     sp.add_argument("word", help="comma-separated positive integers, e.g. 2,1")
     sp.add_argument("--N", type=int, default=100_000)
-    sp.set_defaults(func=cmd_mzv)
 
-    sp = sub.add_parser("stuffle", help="quasi-shuffle product of two words")
+    sp = add("stuffle", cmd_stuffle, "quasi-shuffle product of two words", False)
     sp.add_argument("word1")
     sp.add_argument("word2")
-    sp.set_defaults(func=cmd_stuffle)
 
     add("reflect", cmd_reflect, "reverse the column order of a term")
 
@@ -322,9 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("forest", cmd_forest, "dlog-monomial expansion of a term's form")
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("selftest", help="run the built-in end-to-end battery")
+    sp = add("selftest", cmd_selftest, "run the built-in end-to-end battery", False)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_selftest)
 
     return p
 

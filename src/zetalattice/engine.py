@@ -49,8 +49,9 @@ calls itself.
 
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
-alone (pattern and exponents), and every output coefficient and emitted
-coefficient is the input coefficient times a rational fixed by the shape.
+alone (pattern and exponents), and every output coefficient is the input
+coefficient times a rational fixed by the shape.  An emit's params hold its
+word only: the word's coefficient is the emitted term's own.
 So a shape's expansion at coefficient 1 is a pure function of the shape
 (pattern, exponents, and whether the reduction is formal: stage (c) exists
 only then): the trace records, the canonical outputs with their term_key,
@@ -253,7 +254,7 @@ def merge_step(
     b: int,
     recorder: Callable,
     boundary: Optional[Term] = None,
-) -> Expression:
+) -> list[Term]:
     """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k]: one
     forward harmonic split, then the first part (which has two rows starting
     at i -- inverting it naively would undo the split) gets a fresh
@@ -263,14 +264,14 @@ def merge_step(
     valid and each pass moves one exponent unit onto the pivot, ending the
     loop after at most weight-many passes.  A generic pivot choice here can
     invert the insertion and loop forever.  A compensated merge books its
-    ``boundary`` (see boundary_term) as the split's fourth output."""
+    ``boundary`` (see boundary_term) as the split's fourth output.  Returns
+    the raw outputs, unmerged."""
     i = t.pattern.rows[a][0]
     j = t.pattern.rows[b][0]
     out1, *rest = forward_hp(t, a, b)
     if boundary is not None:
         rest.append(boundary)
     recorder(TraceRecord("forward_hp", t, (out1, *rest), {"a": a, "b": b}))
-    result = Expression(rest)
 
     c1 = canonical_term(out1)
     aux_t, aux_pos = insert_aux_column(c1, i, j)
@@ -287,8 +288,8 @@ def merge_step(
                 # member exponent still positive: no column vanished yet
                 work.append(raw)
                 continue
-            result.add(raw)
-    return result
+            rest.append(raw)
+    return rest
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +335,13 @@ def _stored(rec: TraceRecord) -> tuple:
 
 
 def _applied(stored: tuple, lam: Rat) -> TraceRecord:
-    """A new TraceRecord from a stored one times ``lam``: the input, the
-    outputs and an emitted coefficient scaled, sharing no mutable object
-    with the memo."""
+    """A new TraceRecord from a stored one times ``lam``: the input and the
+    outputs scaled (the params depend on the shape alone), sharing no
+    mutable object with the memo."""
     move, params, *terms = stored
     params = {name: list(v) if type(v) is tuple else v for name, v in params}
     if lam != 1:
         terms = [Term(u.pattern, u.exponents, u.coefficient * lam) for u in terms]
-        if "coeff" in params:
-            params["coeff"] = str(Rat(params["coeff"]) * lam)
     return TraceRecord(move, terms[0], tuple(terms[1:]), params)
 
 
@@ -377,10 +376,8 @@ def _expansion(
     word = None
     ticks = 0
     if is_chain(t):
-        word, coeff = to_mzv(t)
-        records.append(
-            TraceRecord("emit", t, (), {"word": list(word), "coeff": str(coeff)})
-        )
+        word = to_mzv(t)[0]
+        records.append(TraceRecord("emit", t, (), {"word": list(word)}))
     elif (circuit := find_circuit(t.pattern.columns())) is not None:
         records.append(_pf_record(t, circuit, max(circuit.members)))
         outputs = _keyed(records[0].outputs)
@@ -399,7 +396,7 @@ def _expansion(
             records.append(TraceRecord("inverse_hp", t, outs, {"a": a, "b": b}))
             outputs = _keyed(outs)
         else:
-            outputs = merge_step(t, a, b, records.append, boundary).keyed_terms()
+            outputs = _keyed(merge_step(t, a, b, records.append, boundary))
             # one tick per pass of the merge's inner loop: its pf_step records
             ticks = sum(rec.move == "pf_step" for rec in records)
     return _Expansion(
@@ -510,33 +507,20 @@ def trace_replay(
     which needs no canonical form (raw aux terms carry a zero-exponent column
     even when dropping it would break a row interval) and is computed once
     per shape and process, so a replay pays one table lookup and one rational
-    addition per term.  At the end the ledger must be empty; otherwise the
-    CheckFailed names up to three leftover keys with their coefficients.
-    Returns the rebuilt word combination."""
+    addition per term; an emit adds its input's coefficient to its word.
+    Returns the rebuilt word combination once the ledger is empty; otherwise
+    the CheckFailed names up to three leftover keys with their coefficients."""
     state: dict = {}
-
-    def bump(term: Term, add: bool) -> None:
-        k = term_key(term)
-        c = term.coefficient
-        old = state.pop(k, None)
-        if old is not None:
-            c = old + c if add else old - c
-        elif not add:
-            c = -c
-        if c:
-            state[k] = c
-
     for t in _source_terms(source):
-        bump(t, True)
+        comb_add(state, term_key(t), t.coefficient)
 
     combo: MZVCombination = {}
     for rec in trace.records:
-        bump(rec.input, False)
+        comb_add(state, term_key(rec.input), -rec.input.coefficient)
         if rec.move == "emit":
-            comb_add(combo, tuple(rec.params["word"]), Rat(rec.params["coeff"]))
-        else:
-            for o in rec.outputs:
-                bump(o, True)
+            comb_add(combo, tuple(rec.params["word"]), rec.input.coefficient)
+        for o in rec.outputs:
+            comb_add(state, term_key(o), o.coefficient)
     if state:
         left = "; ".join(f"{c} * {k}" for k, c in itertools.islice(state.items(), 3))
         raise CheckFailed(f"replay left {len(state)} unconsumed terms: {left}")

@@ -15,11 +15,13 @@ Two kinds of checks live here, at different levels of trust:
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
   (partial fractions, auxiliary columns) or as an explicit bijection between
-  truncated lattices with exact kernel matching (harmonic splits).  Every
-  check is linear in the record's coefficients, so check_record proves each
-  relation once: it keeps the last CHECKED_BOUND relations that passed,
-  each keyed exactly by the record divided by its input coefficient, and a
-  rational multiple of one of them passes without a new check.  Each
+  truncated lattices with exact kernel matching (harmonic splits); an emit
+  must have no outputs and its chain input's word.  Every check is linear
+  in the record's coefficients, and no param holds one, so check_record
+  proves each relation once: it keeps the last CHECKED_BOUND relations that
+  passed, each keyed exactly by the record divided by its input
+  coefficient, and a rational multiple of one of them passes without a new
+  check.  Each
   relation still meets its full check once, so the Schwartz-Zippel bound
   per relation, (D / 2^30)^10 for a false identity of degree D, is
   unchanged.
@@ -49,6 +51,7 @@ from .terms import (
     converges,
     interned,
     is_admissible,
+    is_chain,
     to_mzv,
 )
 
@@ -340,10 +343,10 @@ def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
 
 
 @functools.lru_cache(maxsize=4096)
-def _word_value(word: Word, N: int) -> float:
-    """eval_mzv(word, N).value, memoised: a corpus's combinations share few
-    distinct words."""
-    return eval_mzv(word, N).value
+def _word_value(word: Word) -> float:
+    """eval_mzv(word).value at its default cutoff, memoised: a corpus's
+    combinations share few distinct words."""
+    return eval_mzv(word).value
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +377,9 @@ def check_reduction(
     combination: MZVCombination,
     tol: float = 1e-3,
     N: Optional[int] = None,
-    word_N: int = 100_000,
 ) -> CheckReport:
-    """Compare the term's own series against the claimed word combination.
+    """Compare the term's own series, at cutoff ``N``, against the claimed
+    word combination, each word at eval_mzv's default cutoff.
     The tolerance must be finite and non-negative, and every coefficient
     and value within the float range."""
     if not 0 <= tol < math.inf:
@@ -388,7 +391,7 @@ def check_reduction(
     words_value = 0.0
     for w in sorted(combination):
         c = finite_float(combination[w], f"the coefficient of zeta{w}")
-        words_value += c * _word_value(w, word_N)
+        words_value += c * _word_value(w)
     finite_float(words_value, "the value of the words")
     diff = finite_float(abs(series.value - words_value), "the difference")
     return CheckReport(diff <= tol, series.value, words_value, diff, tol, series)
@@ -426,12 +429,11 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
     that holds on the positive integers holds everywhere, and a false one of
     degree D survives one point with probability at most D / 2^30
     (Schwartz-Zippel).  Valid for moves that keep the summation variables in
-    place: partial fractions and auxiliary-column insertion."""
+    place: partial fractions and auxiliary-column insertion.  An emit must
+    have no outputs, and its input must be a chain that reads its word."""
     if rec.move == "emit":
-        word, coeff = to_mzv(rec.input)
-        if list(word) != list(rec.params["word"]) or coeff != Rat(
-            rec.params["coeff"]
-        ):
+        word = is_chain(rec.input) and list(to_mzv(rec.input)[0])
+        if rec.outputs or word != list(rec.params["word"]):
             raise CheckFailed(f"emit record disagrees with its chain: {rec}")
         return
     if rec.move not in ("pf_step", "insert_aux"):
@@ -584,25 +586,19 @@ def _over(c: Rat, un: int, ud: int) -> tuple[int, int]:
 
 def _relation_key(rec: TraceRecord) -> Optional[tuple]:
     """``rec`` divided by its input coefficient, exactly, as one flat tuple:
-    the move, the params as (name, value, name, value, ...) with an emitted
-    ``coeff`` divided too, the input's shape, then the shape and the scaled
-    coefficient of each output in order, the coefficient as numerator and
-    denominator > 0 in lowest terms.  None when the input coefficient is 0,
-    the ``coeff`` is not a rational, or another param is not an int, a str
-    or a flat list of them, as every param the engine writes is."""
+    the move, the params as (name, value, name, value, ...), which hold no
+    coefficient and so need no scaling, the input's shape, then the shape
+    and the scaled coefficient of each output in order, the coefficient as
+    numerator and denominator > 0 in lowest terms.  None when the input
+    coefficient is 0, or a param is not an int, a str or a flat list of
+    them, as every param the engine writes is."""
     unit = rec.input.coefficient
     if unit == 0:
         return None
     un, ud = unit.numerator, unit.denominator
     params = []
     for name, v in rec.params.items():
-        if name == "coeff":
-            try:
-                # the engine writes str(input coefficient): a ratio of 1
-                v = _over(unit if v == str(unit) else Rat(v), un, ud)
-            except (TypeError, ValueError, ZeroDivisionError):
-                return None
-        elif type(v) is list and all(type(x) in (int, str) for x in v):
+        if type(v) is list and all(type(x) in (int, str) for x in v):
             v = tuple(v)
         elif type(v) not in (int, str):
             return None
@@ -632,9 +628,9 @@ def check_record(rec: TraceRecord, rng) -> None:
 
     Every check is homogeneous of degree 1 in the record's coefficients:
     the rational identity c_in / D_in = sum c_o / D_o, the cross-multiplied
-    lattice equality, the boundary term (it scales with the coefficient of
-    the term split) and the coefficient an emit reads off its chain.  So a
-    record that is an exact rational multiple of one that passed passes
+    lattice equality and the boundary term (it scales with the coefficient
+    of the term split); an emit's check reads its shape and word alone.  So
+    a record that is an exact rational multiple of one that passed passes
     too.  A table keyed by the record divided by its input coefficient
     (_relation_key; exact, not a digest, so no collision can pass a false
     record) holds the last CHECKED_BOUND relations that passed, the least

@@ -74,16 +74,8 @@ class Pattern:
                 masks[c] |= 1 << r
         return tuple(masks)
 
-    def covers(self, row: int, col: int) -> bool:
-        return bool(self.cover[col - 1] >> row & 1)
-
-    def column_vector(self, col: int) -> tuple[int, ...]:
-        """0/1 flags over the rows, for the 1-based column ``col``."""
-        mask = self.cover[col - 1]
-        return tuple(mask >> r & 1 for r in range(self.depth))
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column_vector(c) for c in range(1, self.width + 1)]
+        return [tuple(mask >> r & 1 for r in range(self.depth)) for mask in self.cover]
 
     def row_starts(self) -> list[int]:
         return [a for a, _ in self.rows]
@@ -150,17 +142,10 @@ def term(
     rows: Sequence[Sequence[int]],
     exponents: Sequence[int],
     coefficient: Union[Rat, int, str] = 1,
-    width: Optional[int] = None,
 ) -> Term:
-    """Validating constructor.  Width defaults to the number of exponents."""
-    if width is None:
-        width = len(exponents)
-    pat = validate_pattern(rows, width)
+    """Validating constructor; the width is the number of exponents."""
+    pat = validate_pattern(rows, len(exponents))
     exps = tuple(int(k) for k in exponents)
-    if len(exps) != width:
-        raise MalformedInterval(
-            f"{len(exps)} exponents for width {width}"
-        )
     if any(k < 1 for k in exps):
         raise MalformedInterval(f"exponents must be positive, got {exps}")
     return Term(pat, exps, _as_rat(coefficient))
@@ -194,6 +179,15 @@ def _as_rat(x) -> Rat:
 # pulling every later copy next to the first one keeps every row contiguous.
 
 
+def _merged_columns(pattern: Pattern, exponents: Sequence[int]) -> dict[int, int]:
+    """The total exponent of each column cover (bitmask over the rows), the
+    covers in order of first appearance: columns of equal cover merge."""
+    merged: dict[int, int] = {}
+    for mask, k in zip(pattern.cover, exponents):
+        merged[mask] = merged.get(mask, 0) + k
+    return merged
+
+
 def canonical_term(t: Term) -> Term:
     """Sort rows by (start, end) and merge the columns of equal cover: in
     one pass, columns are grouped by cover in order of first appearance and
@@ -201,9 +195,7 @@ def canonical_term(t: Term) -> Term:
     interval-structure witness.  Raises IntervalBroken when a group's
     exponent is zero or a row stops being contiguous."""
     pat = Pattern(t.width, tuple(sorted(t.pattern.rows)))
-    merged: dict[int, int] = {}
-    for mask, k in zip(pat.cover, t.exponents):
-        merged[mask] = merged.get(mask, 0) + k
+    merged = _merged_columns(pat, t.exponents)
     new_exps = tuple(merged.values())
     if any(k < 1 for k in new_exps):
         raise IntervalBroken("zero-exponent column survived canonicalization")
@@ -241,9 +233,7 @@ TERM_KEY_BOUND = 4096  # shapes kept
 def _term_key(pattern: Pattern, exponents: tuple[int, ...]) -> tuple:
     rows = pattern.rows
     order = sorted(range(pattern.depth), key=rows.__getitem__)
-    merged: dict[int, int] = {}
-    for mask, k in zip(pattern.cover, exponents):
-        merged[mask] = merged.get(mask, 0) + k
+    merged = _merged_columns(pattern, exponents)
     pairs = sorted(
         (tuple(mask >> r & 1 for r in order), k) for mask, k in merged.items() if k
     )
@@ -440,11 +430,7 @@ class Expression:
                 self._terms[key] = old.with_coefficient(c)
 
     def terms(self) -> list[Term]:
-        return [t for t, _ in self.keyed_terms()]
-
-    def keyed_terms(self) -> list[tuple[Term, tuple]]:
-        """(canonical term, its term_key) pairs in key order."""
-        return [(self._terms[k], k) for k in sorted(self._terms)]
+        return [self._terms[k] for k in sorted(self._terms)]
 
     def pop_smallest(self) -> Term:
         key = min(self._terms)
@@ -464,12 +450,15 @@ class Expression:
 # word combinations and the quasi-shuffle (stuffle) product
 
 
-def comb_add(dst: MZVCombination, word: Word, coeff: Rat) -> None:
-    c = dst.get(word, Rat(0)) + coeff
-    if c == 0:
-        dst.pop(word, None)
+def comb_add(dst: dict, key, coeff: Rat) -> None:
+    """Add ``coeff`` at ``key``, in place, dropping the entry when the sum
+    is 0; a key that stays keeps its place in the order of ``dst``."""
+    c = dst.get(key)
+    c = coeff if c is None else c + coeff
+    if c:
+        dst[key] = c
     else:
-        dst[word] = c
+        dst.pop(key, None)
 
 
 def stuffle_words(u: Sequence[int], v: Sequence[int]) -> MZVCombination:
@@ -568,7 +557,7 @@ def parse_term(source: Union[str, dict]) -> Term:
         raise ParseError(f"coefficient must be a string or an integer: {coeff!r}")
     try:
         return term(rows, exps, coeff)
-    except (MalformedInterval, ZeroColumn, RankDeficient):
+    except (MalformedInterval, ZeroColumn, RankDeficient, ParseError):
         raise
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad term JSON: {e}") from None

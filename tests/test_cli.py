@@ -128,6 +128,25 @@ def test_numbers_python_cannot_hold_exit_2(capsys):
         assert json.loads(capsys.readouterr().err)["kind"] == "ParseError"
 
 
+def test_a_refused_coefficient_is_named_once(capsys):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    zeta2 = '{"rows": [[1, 1]], "exponents": [2], "coefficient": "1e5000"}'
+    assert cli.main(["reduce", zeta2]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": f"bad rational '1e5000': exponent beyond {limit}",
+        "kind": "ParseError",
+    }
+
+
+def test_an_unwritable_trace_exits_2(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "x.jsonl"):
+        assert cli.main(["reduce", TORNHEIM, "--trace", str(path)]) == 2, path
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ParseError", path
+        assert err["error"].startswith(f"cannot write {str(path)!r}: "), path
+
+
 def test_values_outside_the_float_range_exit_2(capsys):
     # 1e400 has no float; 1.5e308 has one, but the value overflows to inf
     for coeff in ("1e400", "1.5e308"):

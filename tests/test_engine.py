@@ -88,6 +88,13 @@ def test_replay_detects_a_dropped_record():
     with pytest.raises(CheckFailed, match="left 5 unconsumed terms") as err:
         trace_replay(words, ReductionTrace())
     assert str(err.value).count(" * ") == 3
+    # an emit's outputs are booked like any record's: a forged one is left
+    records = reduce_to_mzv(TORNHEIM).trace.records
+    i = next(i for i, r in enumerate(records) if r.move == "emit")
+    rec = records[i]
+    records[i] = TraceRecord(rec.move, rec.input, (from_mzv((3,)),), rec.params)
+    with pytest.raises(CheckFailed, match="left 1 unconsumed terms"):
+        trace_replay(TORNHEIM, ReductionTrace(records))
 
 
 def test_a_warm_term_key_table_cannot_hide_a_broken_trace():
@@ -283,11 +290,21 @@ def test_reduce_to_mzv_never_calls_itself(monkeypatch, corpus200):
             assert entries == [t]
 
 
+def test_an_emit_record_holds_its_word_only():
+    # the word's coefficient is the emitted term's own, so replay and the
+    # checks read it from the input, at whatever coefficient it is applied
+    scaled = TORNHEIM.scaled(Rat(-3, 4))
+    trace = reduce_to_mzv(scaled).trace
+    emits = [r for r in trace.records if r.move == "emit"]
+    assert emits and all(list(r.params) == ["word"] for r in emits)
+    assert trace_replay(scaled, trace) == {(2, 1): Rat(-3, 4), (3,): Rat(-3, 4)}
+
+
 def test_merge_step_outputs_share_the_input_weight():
     recs = []
     t = term([(1, 1), (2, 2)], [2, 2])
-    expr = merge_step(t, 0, 1, recs.append, None)
-    assert all(u.weight == t.weight for u in expr.terms())
+    outs = merge_step(t, 0, 1, recs.append, None)
+    assert outs and all(u.weight == t.weight for u in outs)
     assert recs and recs[0].move == "forward_hp"
 
 

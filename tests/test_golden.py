@@ -22,9 +22,9 @@ from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import ParkedTermsError, ZetaLatticeError
 from zetalattice.terms import combination_to_json, converges, term
 
-CORPUS200_DIGEST = "babeff992d71ef84b4e9c5b1a905a33f325ef3662516b31deea8b95328d9e8cc"
+CORPUS200_DIGEST = "1fca710aa818d4f19c1695c622437d69af8692a0ec10314bf4080a9bea16ac18"
 DIVERGENT_SMALL_DIGEST = (
-    "f6af75ab22e229991ab74c7d03e75593e4334098276b1b36f1259c4d31fde43e"
+    "986c79bafbc31021ed9d15312794fa2846e68bb18c3cbae39c1628f2aff898bb"
 )
 CORPUS200_WORDS_DIGEST = (
     "52c89e0a1c441b1aa7b325805244f3a1da173b7da695eaa3942b094b74571f8e"
@@ -32,7 +32,7 @@ CORPUS200_WORDS_DIGEST = (
 DIVERGENT_SMALL_WORDS_DIGEST = (
     "7c7c9fb59eab8eecb8ae3ff7284c7dfee968be898cfef2f3e789618fb931abf5"
 )
-DEEP4_DIGEST = "db83a1e11f18b80a5f14b043464050e967f2c777788623b1c52a47fed2ea29b5"
+DEEP4_DIGEST = "dbb9c6a53aba58833a6a99f28abc5f9aa9fb37bff889aadbbd0db63e212421cd"
 
 
 def corpus_digests(terms) -> tuple[str, str]:

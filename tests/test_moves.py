@@ -137,7 +137,7 @@ def test_insert_aux_column_keeps_kernel_and_marks_cover():
     for p in POINTS:
         assert kernel_at(aux_t, p) == kernel_at(c1, p)
     # covered exactly by the extended row
-    cover = {r for r in range(aux_t.depth) if aux_t.pattern.covers(r, pos)}
+    cover = {r for r in range(aux_t.depth) if aux_t.pattern.cover[pos - 1] >> r & 1}
     ends = {aux_t.pattern.rows[r][1] for r in cover}
     assert len(cover) == 1 and max(ends) == aux_t.width
 

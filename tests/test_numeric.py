@@ -323,6 +323,15 @@ def test_emit_check_catches_a_wrong_word():
     )
     with pytest.raises(CheckFailed):
         check_record(bad, rng=random.Random(0))
+    # an emit has no outputs, and its input must be a chain: both are
+    # refused as failed checks, not as errors of to_mzv
+    t, _ = tornheim_trace()
+    for bad in (
+        TraceRecord(rec.move, rec.input, (from_mzv((3,)),), rec.params),
+        TraceRecord(rec.move, t, (), rec.params),
+    ):
+        with pytest.raises(CheckFailed):
+            check_record(bad, rng=random.Random(0))
 
 
 def boundary_mutants(rec):
@@ -550,8 +559,8 @@ def test_a_warm_table_still_rejects_every_tampered_record(corpus_records, cold_t
 def test_a_failing_record_fails_every_time(cold_table):
     for rec in one_record_per_kind():
         if rec.move == "emit":
-            coeff = str(Rat(rec.params["coeff"]) * 2)
-            bad = TraceRecord(rec.move, rec.input, (), dict(rec.params, coeff=coeff))
+            word = [sum(rec.params["word"]) + 1]
+            bad = TraceRecord(rec.move, rec.input, (), dict(rec.params, word=word))
         else:
             outs = (rec.outputs[0].scaled(-1), *rec.outputs[1:])
             bad = TraceRecord(rec.move, rec.input, outs, rec.params)
@@ -562,13 +571,10 @@ def test_a_failing_record_fails_every_time(cold_table):
 
 
 def scaled_record(rec: TraceRecord, lam: Rat) -> TraceRecord:
-    """``rec`` with its input, its outputs and an emitted coefficient times
-    ``lam``: the same relation."""
-    params = dict(rec.params)
-    if "coeff" in params:
-        params["coeff"] = str(Rat(params["coeff"]) * lam)
+    """``rec`` with its input and its outputs times ``lam``: the same
+    relation."""
     outs = tuple(o.scaled(lam) for o in rec.outputs)
-    return TraceRecord(rec.move, rec.input.scaled(lam), outs, params)
+    return TraceRecord(rec.move, rec.input.scaled(lam), outs, dict(rec.params))
 
 
 def test_a_scaled_record_is_not_checked_again(cold_table):

@@ -102,11 +102,9 @@ def test_interned_keeps_one_copy_and_is_bounded(monkeypatch):
 def test_cover_lists_the_rows_of_each_column():
     pat = Pattern(5, ((2, 4), (1, 3), (4, 5), (3, 3)))
     assert pat.cover == (0b0010, 0b0011, 0b1011, 0b0101, 0b0100)
-    for c in range(1, pat.width + 1):
-        want = [int(a <= c <= b) for a, b in pat.rows]
-        assert list(pat.column_vector(c)) == want
-        assert [pat.covers(r, c) for r in range(pat.depth)] == [bool(x) for x in want]
-    assert pat.columns() == [pat.column_vector(c) for c in range(1, 6)]
+    for c, column in enumerate(pat.columns(), start=1):
+        assert list(column) == [int(a <= c <= b) for a, b in pat.rows]
+    assert len(pat.columns()) == pat.width
 
 
 def bubble_canonical(t):
