@@ -67,17 +67,24 @@ def _emit(obj: dict) -> None:
 
 def _reduce(args):
     """The term of ``args``, read and reduced, with the reduction's trace
-    written to ``--trace`` when given: the part reduce and check share."""
+    written to ``--trace`` when given: the part reduce and check share.  The
+    trace file is emptied before the reduction, so an unwritable path is
+    refused before any work, and a reduction that fails leaves it empty."""
     t = _read_term(args.term)
+    _write_trace(args.trace, "")
     res = engine.reduce_to_mzv(
         t, max_terms=args.max_terms, verify=args.verify, seed=args.seed
     )
-    if args.trace:
-        try:
-            Path(args.trace).write_text(res.trace.to_json_lines())
-        except OSError as e:
-            raise ParseError(f"cannot write {args.trace!r}: {e}") from None
+    _write_trace(args.trace, res.trace.to_json_lines())
     return t, res
+
+
+def _write_trace(path, text: str) -> None:
+    if path:
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {path!r}: {e}") from None
 
 
 def _checked_forest(pattern: Pattern, seed: int) -> list:
@@ -294,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--verify", action="store_true",
                         help="run exact per-step checks while reducing")
         sp.add_argument("--trace", metavar="FILE",
-                        help="write the move log as JSON lines")
+                        help="write the move log as JSON lines (emptied "
+                        "before reducing; left empty if the reduction fails)")
         sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-3)

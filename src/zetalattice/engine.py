@@ -104,14 +104,13 @@ from .terms import (
     Term,
     Word,
     canonical_term,
+    chain_word,
     comb_add,
     converges,
     interned,
     is_admissible,
-    is_chain,
     term_key,
     term_to_json,
-    to_mzv,
 )
 
 Place = tuple[int, int]  # (row, column), both 1-based
@@ -373,10 +372,9 @@ def _expansion(
     t = Term(pattern, exponents, Rat(1))
     records: list[TraceRecord] = []
     outputs: list[tuple[Term, tuple]] = []
-    word = None
     ticks = 0
-    if is_chain(t):
-        word = to_mzv(t)[0]
+    word = chain_word(t)
+    if word is not None:
         records.append(TraceRecord("emit", t, (), {"word": list(word)}))
     elif (circuit := find_circuit(t.pattern.columns())) is not None:
         records.append(_pf_record(t, circuit, max(circuit.members)))
@@ -507,7 +505,9 @@ def trace_replay(
     which needs no canonical form (raw aux terms carry a zero-exponent column
     even when dropping it would break a row interval) and is computed once
     per shape and process, so a replay pays one table lookup and one rational
-    addition per term; an emit adds its input's coefficient to its word.
+    addition per term.  An emit adds its input's coefficient to its word,
+    which numeric.emit_word checks against the input's chain, read once per
+    shape: a word the chain does not read, or none, raises CheckFailed.
     Returns the rebuilt word combination once the ledger is empty; otherwise
     the CheckFailed names up to three leftover keys with their coefficients."""
     state: dict = {}
@@ -518,7 +518,7 @@ def trace_replay(
     for rec in trace.records:
         comb_add(state, term_key(rec.input), -rec.input.coefficient)
         if rec.move == "emit":
-            comb_add(combo, tuple(rec.params["word"]), rec.input.coefficient)
+            comb_add(combo, numeric.emit_word(rec), rec.input.coefficient)
         for o in rec.outputs:
             comb_add(state, term_key(o), o.coefficient)
     if state:

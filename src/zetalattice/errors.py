@@ -35,7 +35,8 @@ class RankDeficient(PatternError):
 
 
 class NotChain(ZetaLatticeError):
-    """to_mzv was called on a term whose row supports are not nested."""
+    """to_mzv was called on a term whose row supports are not nested, or
+    whose zero-exponent columns leave an entry of its word at 0."""
 
 
 class ParseError(ZetaLatticeError, ValueError):

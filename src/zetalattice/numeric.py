@@ -48,11 +48,10 @@ from .terms import (
     Rat,
     Term,
     Word,
+    chain_word,
     converges,
     interned,
     is_admissible,
-    is_chain,
-    to_mzv,
 )
 
 DEPTH_CUTOFFS = {1: 1_000_000, 2: 3000, 3: 600}
@@ -423,6 +422,16 @@ def _denominator(forms, x: Sequence[int]) -> int:
     return den
 
 
+def emit_word(rec: TraceRecord) -> Word:
+    """The word an emit record adds to the result, once its input is found
+    to be a chain that reads that word (chain_word, once per shape).  Raises
+    CheckFailed when it is not, or when the record has no ``word`` param."""
+    word = chain_word(rec.input)
+    if word is None or rec.params.get("word") != list(word):
+        raise CheckFailed(f"emit record disagrees with its chain: {rec}")
+    return word
+
+
 def step_check_rational(rec: TraceRecord, rng) -> None:
     """Exact identity kernel(input) == sum of kernel(output) at random
     positive integer points of [1, 2^30]^depth.  A rational-function identity
@@ -432,9 +441,9 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
     place: partial fractions and auxiliary-column insertion.  An emit must
     have no outputs, and its input must be a chain that reads its word."""
     if rec.move == "emit":
-        word = is_chain(rec.input) and list(to_mzv(rec.input)[0])
-        if rec.outputs or word != list(rec.params["word"]):
-            raise CheckFailed(f"emit record disagrees with its chain: {rec}")
+        emit_word(rec)
+        if rec.outputs:
+            raise CheckFailed(f"emit record has outputs: {rec}")
         return
     if rec.move not in ("pf_step", "insert_aux"):
         raise ValueError(f"no rational check for move {rec.move!r}")

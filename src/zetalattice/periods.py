@@ -9,10 +9,14 @@ where P_j is the product of the x variables covered by row j and the measure
 exponent m_c (coverage count minus one) is nonnegative, so the integrand is
 finite inside the cube.  ``integral_eval`` computes this with the tanh-sinh
 rule in every variable, contracted with ``np.einsum`` as a product of row
-tables: each factor 1/(1 - P_j) is tabulated on its own row's variables, one
-node of the first variable at a time, so with n nodes and W variables no table
-holds more than n^(W-1) entries.  It is a second, structurally different
-numeric oracle next to the direct partial sums.
+tables.  Columns of equal cover enter the integrand symmetrically, so each
+group of them is summed over multisets of nodes rather than over all tuples,
+and each factor 1/(1 - P_j) is tabulated on the axes of its own row's groups.
+The rows through the first column are tabulated in blocks of at most _CHUNK
+entries along its group's axis, the others once, so with n nodes and W
+variables no table holds more than max(_CHUNK, n^(W-1)) entries.  It is a
+second, structurally different numeric oracle next to the direct partial
+sums.
 
 The same data also carries a rational differential form
 
@@ -41,7 +45,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CycleDetected, DivergentSeries, ParseError
-from .numeric import TABLE_ENTRY_LIMIT, EvalReport, finite_float, refuse_table
+from .numeric import (
+    _CHUNK,
+    TABLE_ENTRY_LIMIT,
+    EvalReport,
+    finite_float,
+    refuse_table,
+)
 from .terms import Pattern, Rat, Term, converges, expand
 
 DEFAULT_NODE_COUNTS = {2: 81, 3: 61, 4: 49, 5: 35}
@@ -64,50 +74,105 @@ def tanh_sinh_nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, wts, one_minus
 
 
+def _multisets(
+    lx: np.ndarray, v: np.ndarray, g: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One point per multiset of g node indices, in lexicographic order of
+    the sorted indices: the sum of their log x, and the number of orderings
+    of the multiset times the product of their weights ``v``."""
+    n = len(lx)
+    last = np.arange(n)
+    s, w = lx, v
+    orderings = run = np.ones(n)
+    for size in range(2, g + 1):
+        # extend each multiset by every index from its last one on
+        counts = n - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts
+        new = last[parent] + np.arange(len(parent)) - first[parent]
+        run = np.where(new == last[parent], run[parent] + 1.0, 1.0)
+        orderings = orderings[parent] * size / run  # size! / prod(mult!)
+        s = s[parent] + lx[new]
+        w = w[parent] * v[new]
+        last = new
+    return s, orderings * w
+
+
 def _ts_value(
     pattern: Pattern, rule: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> float:
     """Tanh-sinh integral of the integrand of a fully expanded pattern,
     coefficient excluded, with the nodes of ``rule`` (from
     ``tanh_sinh_nodes``) in every variable; each variable's measure exponent
-    is its coverage minus one, read from ``pattern.cover``.  Each row
-    factor 1/(1 - P) is tabulated on the row's own variables, 1 - P computed
+    is its coverage minus one, read from ``pattern.cover``.
+
+    Columns of equal cover lie in the same rows and carry the same weight, so
+    the summand is symmetric in their node indices: a group of g such columns
+    gets one axis over the multisets of g nodes (see _multisets), and a group
+    whose axis would pass _CHUNK points is split into smaller ones.  Each row
+    factor 1/(1 - P) is tabulated on the axes of its groups, 1 - P computed
     as -expm1(sum of log x) so it stays accurate at the P -> 1 faces.  The
-    tables are contracted with the per-variable weights by np.einsum one node
-    of the first variable at a time, so no table has more than n^(W-1)
-    entries; rows that miss the first variable are tabulated once."""
+    rows through column 1 are walked in blocks along the axis of its group,
+    at most _CHUNK entries a block (one point, if that is more), and summed
+    against that axis's weights into one table over their other axes; the
+    other rows are tabulated once, and np.einsum contracts them with that
+    table and the axis weights.  Every table misses column 1 or is a block,
+    so none holds more than max(_CHUNK, n^(W-1)) entries."""
     x, wts, omx = rule
+    n = len(x)
     lx = np.log1p(-omx)
-    vec = [wts * x ** float(bin(mask).count("1") - 1) for mask in pattern.cover]
+    sizes: dict[int, int] = {}  # cover mask -> columns, column 1's first
+    for mask in pattern.cover:
+        sizes[mask] = sizes.get(mask, 0) + 1
+    masks, logs, weights = [], [], []  # per axis
+    for mask, g in sizes.items():
+        vec = wts * x ** float(bin(mask).count("1") - 1)
+        while g:
+            size = max(
+                [k for k in range(2, g + 1) if math.comb(n + k - 1, k) <= _CHUNK],
+                default=1,
+            )
+            s, w = _multisets(lx, vec, size)
+            masks.append(mask)
+            logs.append(s)
+            weights.append(w)
+            g -= size
 
-    def row_table(log_start, count: int) -> np.ndarray:
-        # 1/(1 - P) over `count` more variables, log P summed left to right
-        S = log_start
-        for _ in range(count):
-            S = np.add.outer(S, lx)
-        return 1.0 / -np.expm1(S)
+    def table(parts: list[np.ndarray], numerator=1.0) -> np.ndarray:
+        # numerator/(1 - P) over the outer sum of the log sums in `parts`
+        S = parts[0].copy()
+        for p in parts[1:]:
+            S = np.add.outer(S, p)
+        np.expm1(S, out=S)
+        return np.divide(-numerator, S, out=S)
 
-    def axes(first: int, last: int) -> str:
-        # einsum letters of the variables first..last (1-based, like rows)
-        return "".join(chr(ord("a") + c - 1) for c in range(first, last + 1))
+    # The axes of each row, ascending.  A row through column 1 covers
+    # columns 1..b, whose groups are the first axes, so the rows on axis 0
+    # are nested and the widest one has every axis the others have.
+    rows = [
+        [i for i, mask in enumerate(masks) if mask >> j & 1]
+        for j in range(pattern.depth)
+    ]
+    walked = sorted((r for r in rows if r[0] == 0), key=len, reverse=True)
+    fixed = [r for r in rows if r[0] != 0]
+    widest = walked[0][1:]
+    M = np.zeros([len(logs[i]) for i in widest])
+    block = max(1, _CHUNK // M.size)
+    for lo in range(0, len(logs[0]), block):
+        s0 = logs[0][lo : lo + block]
+        w0 = weights[0][lo : lo + block].reshape((-1,) + (1,) * M.ndim)
+        product = table([s0] + [logs[i] for i in widest], w0)
+        for r in walked[1:]:
+            T = table([s0] + [logs[i] for i in r[1:]])
+            product *= T.reshape(T.shape + (1,) * (product.ndim - T.ndim))
+        M += product.sum(axis=0)
 
-    fixed = [(row_table(0.0, b - a + 1), axes(a, b)) for a, b in pattern.rows if a > 1]
-    walked = [b for a, b in pattern.rows if a == 1]
+    letters = [chr(ord("a") + i) for i in range(len(masks))]
     subscripts = ",".join(
-        [axes(c, c) for c in range(2, pattern.width + 1)]
-        + [sub for _, sub in fixed]
-        + [axes(2, b) for b in walked]
+        letters[1:] + ["".join(letters[i] for i in r) for r in fixed + [widest]]
     ) + "->"
-    tables = vec[1:] + [table for table, _ in fixed]
-    path = None
-    pieces = []
-    for i in range(len(x)):
-        operands = tables + [row_table(lx[i], b - 1) for b in walked]
-        if path is None:
-            path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-        inner = np.einsum(subscripts, *operands, optimize=path)
-        pieces.append(vec[0][i] * float(inner))
-    return math.fsum(pieces)
+    tables = [table([logs[i] for i in r]) for r in fixed]
+    return float(np.einsum(subscripts, *weights[1:], *tables, M, optimize="greedy"))
 
 
 def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
@@ -116,9 +181,9 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     reported cutoff is the node count the rule actually used.  Below 8 nodes
     both rules are the same 7-point rule, so there is no estimate and the
     error is reported as infinite.  Raises ParseError, before expanding or
-    tabulating anything, when n nodes at weight W would need a table of
-    n^(W-1) entries above TABLE_ENTRY_LIMIT, and when the coefficient or the
-    value is outside the float range."""
+    tabulating anything, when n^(W-1), the bound on its tables at n nodes
+    and weight W, is above TABLE_ENTRY_LIMIT, and when the coefficient or
+    the value is outside the float range."""
     if nodes is not None and nodes < 1:
         raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):

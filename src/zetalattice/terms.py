@@ -351,7 +351,11 @@ def is_chain(t: Term) -> bool:
     covered by exactly j rows is the sum of the j outermost variables, so the
     distinct forms are the prefix sums of the variables and the term is a
     nested zeta sum read off by to_mzv."""
-    rows = sorted(t.pattern.rows, key=lambda r: (r[0], -r[1]))
+    return _nested(t.pattern)
+
+
+def _nested(pattern: Pattern) -> bool:
+    rows = sorted(pattern.rows, key=lambda r: (r[0], -r[1]))
     for i in range(len(rows) - 1):
         (a0, b0), (a1, b1) = rows[i], rows[i + 1]
         if not (a0 <= a1 and b1 <= b0) or (a0, b0) == (a1, b1):
@@ -366,14 +370,31 @@ def to_mzv(t: Term) -> tuple[Word, Rat]:
     form first, so the entry at position i collects the exponents of the
     columns covered by exactly d+1-i rows.  On a staircase this is the
     reversed exponent tuple."""
-    if not is_chain(t):
+    word = chain_word(t)
+    if word is None:
         raise NotChain(str(t))
-    d = t.depth
+    return word, t.coefficient
+
+
+def chain_word(t: Term) -> Optional[Word]:
+    """The word to_mzv reads off ``t``, or None when ``t`` is not a chain or
+    reads no word (zero-exponent columns leave an entry of the word at 0).
+    It depends on the shape alone, so it is read once per shape and process:
+    a table of the last TERM_KEY_BOUND shapes, keyed exactly by (pattern,
+    exponents) as term_key's is, serves the engine's emits, the emit check
+    and trace_replay."""
+    return _chain_word(t.pattern, t.exponents)
+
+
+@lru_cache(maxsize=TERM_KEY_BOUND)
+def _chain_word(pattern: Pattern, exponents: tuple[int, ...]) -> Optional[Word]:
+    if not _nested(pattern):
+        return None
+    d = pattern.depth
     word = [0] * d
-    for mask, k in zip(t.pattern.cover, t.exponents):
+    for mask, k in zip(pattern.cover, exponents):
         word[d - bin(mask).count("1")] += k
-    assert all(k >= 1 for k in word)
-    return tuple(word), t.coefficient
+    return tuple(word) if min(word) >= 1 else None
 
 
 def from_mzv(word: Sequence[int]) -> Term:

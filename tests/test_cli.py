@@ -4,7 +4,7 @@ import sys
 import time
 import tracemalloc
 
-from zetalattice import cli
+from zetalattice import cli, engine
 
 TORNHEIM = '{"rows": [[1,2],[2,3]], "exponents": [1,1,1]}'
 
@@ -139,12 +139,25 @@ def test_a_refused_coefficient_is_named_once(capsys):
     }
 
 
-def test_an_unwritable_trace_exits_2(tmp_path, capsys):
+def test_an_unwritable_trace_exits_2(tmp_path, capsys, monkeypatch):
+    # the trace file is opened first: no reduction runs for a refused path
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduced before opening the trace file")
+
+    monkeypatch.setattr(engine, "reduce_to_mzv", no_reduction)
     for path in (tmp_path, tmp_path / "missing" / "x.jsonl"):
         assert cli.main(["reduce", TORNHEIM, "--trace", str(path)]) == 2, path
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "ParseError", path
         assert err["error"].startswith(f"cannot write {str(path)!r}: "), path
+
+
+def test_a_failed_reduction_leaves_an_empty_trace(tmp_path, capsys):
+    path = tmp_path / "moves.jsonl"
+    path.write_text("stale\n")
+    assert cli.main(["reduce", TORNHEIM, "--max-terms", "2", "--trace", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "TermBudgetExceeded"
+    assert path.read_text() == ""
 
 
 def test_values_outside_the_float_range_exit_2(capsys):

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction as Rat
 
 import pytest
@@ -298,6 +299,30 @@ def test_an_emit_record_holds_its_word_only():
     emits = [r for r in trace.records if r.move == "emit"]
     assert emits and all(list(r.params) == ["word"] for r in emits)
     assert trace_replay(scaled, trace) == {(2, 1): Rat(-3, 4), (3,): Rat(-3, 4)}
+
+
+def test_replay_reads_an_emit_word_off_its_chain():
+    zeta3 = from_mzv((3,))
+    forged = ReductionTrace([TraceRecord("emit", zeta3, (), {"word": [2]})])
+    with pytest.raises(CheckFailed, match="disagrees with its chain"):
+        trace_replay(zeta3, forged)
+    honest = ReductionTrace([TraceRecord("emit", zeta3, (), {"word": [3]})])
+    assert trace_replay(zeta3, honest) == {(3,): 1}
+
+
+def test_an_emit_without_a_word_is_a_failed_check():
+    rec = TraceRecord("emit", from_mzv((3,)), (), {})
+    with pytest.raises(CheckFailed, match="disagrees with its chain"):
+        numeric.check_record(rec, random.Random(0))
+    with pytest.raises(CheckFailed, match="disagrees with its chain"):
+        trace_replay(from_mzv((3,)), ReductionTrace([rec]))
+    # nested rows whose zero-exponent column leaves the word's first entry 0
+    t = Term(terms.Pattern(2, ((1, 2), (2, 2))), (2, 0), Rat(1))
+    rec = TraceRecord("emit", t, (), {"word": [0, 2]})
+    with pytest.raises(CheckFailed, match="disagrees with its chain"):
+        numeric.check_record(rec, random.Random(0))
+    with pytest.raises(CheckFailed, match="disagrees with its chain"):
+        trace_replay(t, ReductionTrace([rec]))
 
 
 def test_merge_step_outputs_share_the_input_weight():

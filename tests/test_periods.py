@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zetalattice.errors import CycleDetected, DivergentSeries, ParseError
-from zetalattice.numeric import eval_term
+from zetalattice.numeric import _CHUNK, eval_term
 from zetalattice.periods import (
     TABLE_ENTRY_LIMIT,
     _ts_value,
@@ -116,6 +116,12 @@ def prefix_loop_ts_value(W, rows, measure_exponents, count):
         (4, ((1, 4), (2, 4))),
         (5, ((1, 5), (2, 3), (4, 5))),  # a full-width row
         (5, ((1, 2), (2, 4), (3, 5))),
+        # columns of equal cover share one axis over multisets of nodes
+        (3, ((1, 3),)),  # a group of 3
+        (4, ((1, 4),)),  # a group of 4
+        (4, ((1, 2), (1, 4))),  # two groups of 2
+        (3, ((1, 3), (2, 2))),  # columns 1 and 3: a group that is not contiguous
+        (5, ((1, 5), (2, 4))),  # groups of 2 (columns 1, 5) and 3 (columns 2-4)
     ],
 )
 def test_contracted_rule_matches_the_prefix_loop(width, rows):
@@ -125,6 +131,29 @@ def test_contracted_rule_matches_the_prefix_loop(width, rows):
         want = prefix_loop_ts_value(width, rows, measure_exponents, count)
         got = _ts_value(Pattern(width, rows), tanh_sinh_nodes(count))
         assert abs(got - want) <= 1e-13 * abs(want), (count, got, want)
+
+
+def test_a_split_group_matches_the_prefix_loop():
+    # at 49 nodes the C(52, 4) multisets of one group of 4 columns pass
+    # _CHUNK, so the group is summed as a multiset axis of 3 and one of 1
+    assert math.comb(52, 4) > _CHUNK >= math.comb(51, 3)
+    want = prefix_loop_ts_value(4, ((1, 4),), [0, 0, 0, 0], 49)
+    got = _ts_value(Pattern(4, ((1, 4),)), tanh_sinh_nodes(49))
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_zeta4_integral_stays_below_a_full_tensor():
+    # one group of 4 columns at the default 49 nodes: blocks of the multiset
+    # axis, never the 49^4 points of the full tensor
+    tracemalloc.start()
+    try:
+        rep = integral_eval(term([(1, 1)], [4]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cutoff == 49
+    assert abs(rep.value - math.pi**4 / 90) < 1e-10
+    assert peak < 8e6, peak
 
 
 def test_integral_tables_stay_below_a_full_tensor():
