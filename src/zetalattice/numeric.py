@@ -7,11 +7,13 @@ Two kinds of checks live here, at different levels of trust:
   produced.  One row variable, one with the latest start, is summed over
   [1, inf) in closed form (partial fractions in that variable, then tails of
   zeta(j) read from reverse cumulative tables); the other rows span the box
-  [1, N]^(depth-1), a broadcast integer grid swept in slabs, so a partial sum
-  costs O(N^(depth-1)) and depth 1 is zeta(K) outright.  The summand does not
-  depend on N, so one sweep of the largest box gives the partial sums at
-  every extrapolation cutoff as slices of the same slabs.  Approximate,
-  tolerance-based.
+  [1, N]^(depth-1), swept in slabs, so a partial sum costs O(N^(depth-1))
+  and depth 1 is zeta(K) outright.  Every value the summand is built from
+  is a function of one row-sum form (a sum of some of those rows), so it is
+  a 1D table indexed by the form's value, built once per sweep, and each
+  slab reads it through a strided view.  The summand does not depend on N, so one sweep of the largest box
+  gives the partial sums at every extrapolation cutoff as slices of the
+  same slabs.  Approximate, tolerance-based.
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
   (partial fractions, auxiliary columns) or as an explicit bijection between
@@ -146,6 +148,23 @@ def _extrapolate(ns: Sequence[int], vals: Sequence[float]) -> tuple[float, float
 # of its columns c starts no later, so it covers c iff it ends at or after c:
 # the shift row sets shrink as c grows, two shifts always differ by at least
 # one n_i >= 1, and the partial fractions never meet a repeated pole.
+#
+# A row-sum form is the sum of the rows in a mask.  Each shift sigma_g is
+# one, so is the difference of two shifts (the sets are nested: it is +-1
+# times the form of the rows in one and not the other), and so is each
+# column outside the summed row.  Every value the summand reads is a
+# function of one form: tail[j][sigma_g], the reciprocals q_gh, their powers
+# and series coefficients, and the powers of the outside columns.  Each is
+# a 1D table indexed by the form's value: tail[j] from 0, the others from
+# the form's smallest value, the number of its rows, so no entry divides
+# by 0.  A slab reads a table through a read-only strided view
+# (_form_view): the form's value grows by one along each axis of its rows,
+# so the view has a stride of one entry there and length 1 on every other
+# axis, and it starts at the value of the slab's first point.  The
+# floating-point operations are those of building each value on an integer
+# grid of the slab, on the same operands in the same order, save products
+# by 1.0, which are exact: the partial sums are bit-identical to that
+# sweep (tests/test_numeric.py keeps it as grid_partial_sums).
 
 _TAIL_TABLE_MIN = 64  # from L = 64 on, the remainder in _tails errs by < 1e-17
 
@@ -178,6 +197,12 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _times(a: Optional[np.ndarray], b: np.ndarray) -> np.ndarray:
+    """a * b, an ``a`` of None standing for the empty product: then b itself,
+    which is what 1.0 * b rounds to, with no pass over b."""
+    return b if a is None else a * b
+
+
 def _series_product(a: list, b: list) -> list:
     """The product of two power series with constant term 1, truncated to
     len(a) coefficients."""
@@ -187,15 +212,28 @@ def _series_product(a: list, b: list) -> list:
     ]
 
 
+def _form_view(table: np.ndarray, start: int, axes, shape) -> np.ndarray:
+    """table[start + sum of a_p over p in ``axes``] at every point a of a
+    slab of ``shape``, as a read-only strided view: a stride of one entry
+    along each axis in ``axes``, length 1 on every other axis."""
+    return np.lib.stride_tricks.as_strided(
+        table[start:],
+        tuple(n if p in axes else 1 for p, n in enumerate(shape)),
+        tuple(table.strides[0] if p in axes else 0 for p in range(len(shape))),
+        writeable=False,
+    )
+
+
 def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
     """coefficient * the sum of the kernel over [1, M]^(depth-1) x [1, inf),
     the summed row (one with the latest start) running to infinity, for every
     cutoff M in ns, from one sweep of the largest box in O(N^(depth-1))
-    work.  The other rows are the axes of a broadcast integer grid, cut into
-    slabs of about _CHUNK points along the first axis.  The summand does not
-    depend on the cutoff: each slab is evaluated once, and the box of each
-    cutoff is a slice of it.  At depth 1 there are no other rows and the sum
-    is coefficient * zeta(K) at every cutoff."""
+    work.  The other rows are the axes of the box, cut into slabs of about
+    _CHUNK points along the first axis; each slab reads the tables of the
+    row-sum forms through strided views.  The summand does not depend on the
+    cutoff: each slab is evaluated once, and the box of each cutoff is a
+    slice of it.  At depth 1 there are no other rows and the sum is
+    coefficient * zeta(K) at every cutoff."""
     d = t.depth
     r = max(range(d), key=lambda i: t.pattern.rows[i][0])
     others = [i for i in range(d) if i != r]
@@ -221,55 +259,69 @@ def _partial_sums(t: Term, ns: Sequence[int]) -> list[float]:
         slab = f"{min(step, N)} x {N}^{d - 2}"
         refuse_table(min(step, N) * N ** (d - 2), f"{needs} slabs of {slab} points")
     tail = _tails(K, top)
-    unit = (1,) * (d - 1)
+
+    def axes(mask: int) -> tuple[int, ...]:
+        """The slab axes of the rows in ``mask``."""
+        return tuple(p for p, i in enumerate(others) if mask >> i & 1)
+
+    def values(mask: int) -> np.ndarray:
+        """The values of the form of the rows in ``mask`` over the box, from
+        its smallest, the number of those rows, up."""
+        low = len(axes(mask))
+        return np.arange(low, low * N + 1)
+
+    masks = list(shifts)
+    # partners[g]: for each h != g in order, s^K_h for the sign s with
+    # q_gh = s * qh, the axes of the form of sigma_h - sigma_g, and the
+    # tables over that form of qh^K_h and of the series coefficients
+    # C(K_h+m-1, m) (-q_gh)^m for m = 1..K_g-1
+    partners: list[list[tuple]] = [[] for _ in Ks]
+    for g, h in itertools.combinations(range(len(Ks)), 2):
+        diff = masks[g] ^ masks[h]
+        # q[g, h] = 1 / (sigma_h - sigma_g) for g < h; q_hg = -q_gh
+        q = 1.0 / (values(diff) if masks[h] & diff else -values(diff))
+        for a, b, s in ((g, h, 1), (h, g, -1)):
+            series = []
+            for m in range(1, Ks[a]):
+                power = q if m == 1 else power * q
+                series.append(power * (math.comb(Ks[b] + m - 1, m) * (-s) ** m))
+            partners[a].append((s ** Ks[b], axes(diff), _power(q, Ks[b]), series))
+    dens = [(axes(mask), _power(values(mask).astype(float), k)) for mask, k in rest]
     pieces: list[list[float]] = [[] for _ in ns]
     for lo in range(0, N if d > 1 else 1, step):  # depth 1: one slab, no axes
         hi = min(lo + step, N)
-        # x[i]: the values of row i, laid along its own axis of the slab
-        x = {}
-        for p, i in enumerate(others):
-            axis = np.arange(lo + 1, hi + 1) if p == 0 else np.arange(1, N + 1)
-            x[i] = axis.reshape(unit[:p] + (-1,) + unit[p + 1 :])
-        sigma = [
-            sum((x[i] for i in others if s >> i & 1), np.zeros(unit, dtype=int))
-            for s in shifts
-        ]
-        # q[g, h] = 1 / (sigma_h - sigma_g) for g < h; q_hg = -q_gh
-        q = {
-            (g, h): 1.0 / (sigma[h] - sigma[g])
-            for g, h in itertools.combinations(range(len(Ks)), 2)
-        }
-        ysum = np.zeros(tuple(hi - lo if p == 0 else N for p in range(d - 1)))
-        for g, (sg, Kg) in enumerate(zip(sigma, Ks)):
+        shape = tuple(hi - lo if p == 0 else N for p in range(d - 1))
+
+        def view(table: np.ndarray, ax) -> np.ndarray:
+            """A form's table, from its smallest value, over the slab."""
+            return _form_view(table, lo if 0 in ax else 0, ax, shape)
+
+        ysum = np.zeros(shape)
+        for g, Kg in enumerate(Ks):
             # A_{g,Kg-m} = [u^m] prod_{h!=g} (sigma_h - sigma_g + u)^(-K_h)
             #            = sign * lead * coef[m], where
             # lead = prod |q_gh|^K_h and (1 + q_gh u)^(-K_h) has the
             # coefficients C(K_h+m-1, m) (-q_gh)^m
-            sign, lead, coef = 1, 1.0, None  # coef None: the series 1
-            for h, Kh in enumerate(Ks):
-                if h == g:
-                    continue
-                qh, s = (q[g, h], 1) if g < h else (q[h, g], -1)
-                sign *= s**Kh
-                lead = lead * _power(qh, Kh)
-                series = [1.0]
-                for m in range(1, Kg):
-                    power = qh if m == 1 else power * qh
-                    series.append(power * (math.comb(Kh + m - 1, m) * (-s) ** m))
+            sign, lead, coef = 1, None, None  # None: the product 1, the series 1
+            for flip, ax, qpower, coefficients in partners[g]:
+                sign *= flip
+                lead = _times(lead, view(qpower, ax))
+                series = [1.0, *(view(c, ax) for c in coefficients)]
                 coef = series if coef is None else _series_product(coef, series)
-            inner = tail[Kg][sg]
+            # tail[j] at sigma_g, whose smallest value is its number of rows
+            ax = axes(masks[g])
+            inner = view(tail[Kg][len(ax) :], ax)
             if coef is not None:
                 for m in range(1, Kg):
-                    inner = inner + coef[m] * tail[Kg - m][sg]
+                    inner = inner + coef[m] * view(tail[Kg - m][len(ax) :], ax)
             if sign > 0:
-                ysum += lead * inner
+                ysum += _times(lead, inner)
             else:
-                ysum -= lead * inner
+                ysum -= _times(lead, inner)
         if rest:
-            den = 1.0
-            for mask, k in rest:
-                form = sum(x[i] for i in others if mask >> i & 1).astype(float)
-                den = den * _power(form, k)
+            den = None
+            for ax, power in dens:
+                den = _times(den, view(power, ax))
             ysum /= den
         for cut, n in enumerate(ns):
             if lo >= n:

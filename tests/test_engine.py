@@ -399,14 +399,18 @@ def test_each_shape_is_expanded_once_per_process(cold_expansions, monkeypatch):
 def test_results_do_not_alias_the_table(cold_expansions):
     first = reduce_to_mzv(REVISITING)
     want = first.trace.to_json_lines()
+    emits = 0
     for rec in first.trace.records:
         for v in rec.params.values():
             if isinstance(v, list):
                 v.append(99)
         rec.params["a"] = -1
-        rec.params.pop("coeff", None)
+        if rec.move == "emit":
+            emits += 1
+            rec.params["word"] = [0]
         rec.move = "tampered"
         rec.outputs = ()
+    assert emits
     assert reduce_to_mzv(REVISITING).trace.to_json_lines() == want
 
 

@@ -7,9 +7,11 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as Rat
 
+import numpy as np
 import pytest
 
 from zetalattice import numeric, terms
+from zetalattice.corpus import random_corpus
 from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
 from zetalattice.moves import TraceRecord
@@ -94,6 +96,13 @@ def test_depth_one_is_zeta_of_the_mass_without_a_cutoff_table(t, value):
         (term([(1, 2), (1, 3), (2, 3)], [1, 4, 2], "-7/3"), 7),
         (term([(1, 1), (1, 4), (2, 3), (3, 5)], [2, 1, 1, 1, 1]), 5),
         (term([(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 1, 1, 3], "5/2"), 5),
+        # the summed row (5,6) meets shifts n1+n2+n3 and 0, whose difference
+        # spans three axes, and columns 3 and 4 lie outside it, with forms
+        # over three and four axes
+        (
+            term([(1, 5), (2, 5), (3, 5), (4, 4), (5, 6)], [1, 1, 1, 2, 1, 2], "-3/4"),
+            3,
+        ),
     ],
 )
 def test_partial_sum_matches_the_exact_box_sum(t, N):
@@ -192,6 +201,120 @@ def test_partial_sums_span_several_slabs(t, monkeypatch):
     ns = [2, 3, 5, 7]
     for n, exact, got in zip(ns, exact_partial_sums(t, ns), _partial_sums(t, ns)):
         assert abs(got - exact) <= 1e-10 * abs(exact), n
+
+
+def grid_partial_sums(t, ns):
+    """The former sweep, kept as a reference: every value the summand reads
+    is built on the slab as an integer grid (the shifts, their differences
+    and the forms outside the summed row) and tail[j][sigma_g] is gathered
+    from it.  The same floating-point operations on the same operands as
+    _partial_sums, apart from products by 1.0, which are exact."""
+    d = t.depth
+    r = max(range(d), key=lambda i: t.pattern.rows[i][0])
+    others = [i for i in range(d) if i != r]
+    shifts = {}
+    rest = []
+    for mask, k in zip(t.pattern.cover, t.exponents):
+        if not k:
+            continue
+        if mask >> r & 1:
+            shift = mask & ~(1 << r)
+            shifts[shift] = shifts.get(shift, 0) + k
+        else:
+            rest.append((mask, k))
+    Ks = list(shifts.values())
+    N = max(ns)
+    tail = numeric._tails(max(Ks), N * max(bin(s).count("1") for s in shifts))
+    step = max(1, numeric._CHUNK // N ** max(d - 2, 0))
+    unit = (1,) * (d - 1)
+    pieces = [[] for _ in ns]
+    for lo in range(0, N if d > 1 else 1, step):
+        hi = min(lo + step, N)
+        x = {}
+        for p, i in enumerate(others):
+            axis = np.arange(lo + 1, hi + 1) if p == 0 else np.arange(1, N + 1)
+            x[i] = axis.reshape(unit[:p] + (-1,) + unit[p + 1 :])
+        sigma = [
+            sum((x[i] for i in others if s >> i & 1), np.zeros(unit, dtype=int))
+            for s in shifts
+        ]
+        q = {
+            (g, h): 1.0 / (sigma[h] - sigma[g])
+            for g, h in itertools.combinations(range(len(Ks)), 2)
+        }
+        ysum = np.zeros(tuple(hi - lo if p == 0 else N for p in range(d - 1)))
+        for g, (sg, Kg) in enumerate(zip(sigma, Ks)):
+            sign, lead, coef = 1, 1.0, None
+            for h, Kh in enumerate(Ks):
+                if h == g:
+                    continue
+                qh, s = (q[g, h], 1) if g < h else (q[h, g], -1)
+                sign *= s**Kh
+                lead = lead * numeric._power(qh, Kh)
+                series = [1.0]
+                for m in range(1, Kg):
+                    power = qh if m == 1 else power * qh
+                    series.append(power * (math.comb(Kh + m - 1, m) * (-s) ** m))
+                coef = series if coef is None else numeric._series_product(coef, series)
+            inner = tail[Kg][sg]
+            if coef is not None:
+                for m in range(1, Kg):
+                    inner = inner + coef[m] * tail[Kg - m][sg]
+            if sign > 0:
+                ysum += lead * inner
+            else:
+                ysum -= lead * inner
+        if rest:
+            den = 1.0
+            for mask, k in rest:
+                form = sum(x[i] for i in others if mask >> i & 1).astype(float)
+                den = den * numeric._power(form, k)
+            ysum /= den
+        for cut, n in enumerate(ns):
+            if lo >= n:
+                continue
+            box = tuple(slice(0, n - lo if p == 0 else n) for p in range(d - 1))
+            pieces[cut].append(float(ysum[box].sum()))
+    return [float(t.coefficient) * math.fsum(part) for part in pieces]
+
+
+def ladder(N):
+    """The cutoffs of eval_term's extrapolation at N >= 16."""
+    return [N // 8, N // 4, N // 2, N] if N >= 128 else [N // 4, N // 2, N]
+
+
+def test_form_tables_are_bit_identical_to_the_grid_on_corpus200(corpus200):
+    # exact float equality: both sides make the same roundings on the same
+    # numpy, so no tolerance and no stored digest is needed
+    deep = [t for t in corpus200 if t.depth >= 2]
+    assert len(deep) == 195
+    for t in deep:
+        ns = ladder(numeric.default_cutoff(t.depth))
+        assert _partial_sums(t, ns) == grid_partial_sums(t, ns), t
+
+
+def test_form_tables_are_bit_identical_to_the_grid_at_depth_four():
+    deep4 = random_corpus(seed=11, count=60, max_depth=4, max_weight=7)
+    depth4 = [t for t in deep4 if t.depth == 4]
+    assert len(depth4) == 19
+    for t in depth4:
+        ns = ladder(numeric.default_cutoff(4))
+        assert _partial_sums(t, ns) == grid_partial_sums(t, ns), t
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        term([(1, 2), (1, 3), (2, 3)], [1, 4, 2], "-7/3"),
+        term([(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 1, 1, 3], "5/2"),
+        term([(1, 5), (2, 5), (3, 5), (4, 4), (5, 6)], [1, 1, 1, 2, 1, 2], "-3/4"),
+    ],
+)
+def test_form_tables_are_bit_identical_to_the_grid_across_slabs(t, monkeypatch):
+    # three points per slab: every table view starts at its slab's offset
+    monkeypatch.setattr(numeric, "_CHUNK", 3)
+    ns = [2, 3, 5, 7]
+    assert _partial_sums(t, ns) == grid_partial_sums(t, ns)
 
 
 def test_divergent_inputs_are_refused():
