@@ -31,7 +31,6 @@ from .errors import (
 )
 from .linalg import CircuitDependency, find_circuit, rank
 from .terms import (
-    Expression,
     MZVCombination,
     Pattern,
     Rat,
@@ -104,8 +103,8 @@ __all__ = [
     "ProgressViolation", "RankDeficient", "RowsDontShareStart",
     "RowsNotAdjacent", "TermBudgetExceeded", "ZeroColumn", "ZetaLatticeError",
     "CircuitDependency", "find_circuit", "rank",
-    "Expression", "MZVCombination", "Pattern", "Rat", "Term", "Word",
-    "canonical_term", "comb_add",
+    "MZVCombination", "Pattern", "Rat", "Term", "Word", "canonical_term",
+    "comb_add",
     "combination_to_json", "converges", "direct_sum", "expand", "from_mzv",
     "is_admissible", "is_chain", "kernel_at", "parse_term", "parse_word",
     "reflect", "render_combination", "stuffle_words", "term", "term_key",

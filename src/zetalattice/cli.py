@@ -7,8 +7,8 @@ or ``-`` to read stdin.  All output is deterministic JSON (keys sorted, runs
 with the same seed are byte-identical).
 
 Exit codes: 0 success, 1 a requested check failed, 2 malformed or
-unusable input, 3 the reduction exceeded its term budget or found no
-applicable move.
+unusable input, 3 the reduction exceeded its term budget, found no
+applicable move, or ended with parked terms that no sibling cancelled.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     CheckFailed,
     DivergentSeries,
     DivergentWord,
+    ParkedTermsError,
     ParseError,
     PatternError,
     ProgressViolation,
@@ -344,6 +345,7 @@ _EXIT_CODES = {
     PatternError: 2,
     DivergentSeries: 2,
     DivergentWord: 2,
+    ParkedTermsError: 3,  # a CheckFailed, but no check was requested
     CheckFailed: 1,
     TermBudgetExceeded: 3,
     ProgressViolation: 3,

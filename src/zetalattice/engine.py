@@ -34,10 +34,14 @@ stage (a) admits a split only when it does.  Emitting is always safe: all
 chain shapes with the same word have identical box sums (gap coordinates),
 so cancelled words cancel their truncation defects too.
 
-A convergent input whose term has no guarded split is *parked* until a
-sibling branch cancels it; if any parked term survives to the end the
-reduction aborts rather than emit an unsound answer.  A divergent input's
-term with no split at all raises ProgressViolation.
+The pool is two dicts from term_key to canonical term, a key in at most
+one: ``pending``, popped smallest key first, and ``parked``, where a
+convergent input's term with no guarded split waits for a sibling branch to
+cancel it.  A source term or move output merges into the term held under
+its key in either, and a nonzero sum goes to pending.  If any parked term
+survives to the end the reduction aborts rather than emit an unsound
+answer.  A divergent input's term with no split at all raises
+ProgressViolation.
 
 The merge step splits two adjacent rows harmonically; the second and third
 parts keep their shape, while the first part (two rows sharing a start --
@@ -97,7 +101,6 @@ from .moves import (
     split_defect_vanishes,
 )
 from .terms import (
-    Expression,
     MZVCombination,
     Pattern,
     Rat,
@@ -148,19 +151,6 @@ class ReductionResult:
     trace: ReductionTrace
     input_convergent: bool
     divergent_cancelled: bool
-
-
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def tick(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.cap:
-            raise TermBudgetExceeded(
-                f"reduction exceeded the term budget of {self.cap}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +285,8 @@ def merge_step(
 # the driver
 
 
-def _source_terms(source: Union[Term, Expression, Iterable[Term]]) -> Iterable[Term]:
-    """The terms of a reduction source: one term, an Expression, or any
-    iterable of terms."""
+def _source_terms(source: Union[Term, Iterable[Term]]) -> Iterable[Term]:
+    """The terms of a reduction source: one term or any iterable of terms."""
     return (source,) if isinstance(source, Term) else source
 
 
@@ -345,8 +334,8 @@ def _applied(stored: tuple, lam: Rat) -> TraceRecord:
 
 
 def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
-    """The nonzero raw outputs of a move, canonical and paired with their
-    term_key."""
+    """The nonzero terms of ``outs``, a move's raw outputs or a reduction
+    source, canonical and paired with their term_key."""
     keyed = []
     for raw in outs:
         if raw.coefficient != 0:
@@ -407,7 +396,7 @@ def _expansion(
 
 
 def reduce_to_mzv(
-    source: Union[Term, Expression, Iterable[Term]],
+    source: Union[Term, Iterable[Term]],
     max_terms: int = 100_000,
     verify: bool = False,
     seed: int = 0,
@@ -417,62 +406,72 @@ def reduce_to_mzv(
     one, is applied from the process-wide expansion memo (see the module
     docstring) with the trace, combination and counters of expanding it
     afresh.  The input counts as convergent when every source term
-    converges, terms of coefficient 0 included.  With ``verify=True`` every
-    recorded move goes to numeric.check_record as it happens, which runs the
-    exact per-step checks once per relation: a record that is a rational
-    multiple of one already proven passes without a new check."""
+    converges, terms of coefficient 0 included; the others must share one
+    weight.  With ``verify=True`` every recorded move goes to
+    numeric.check_record as it happens, which runs the exact per-step checks
+    once per relation: a record that is a rational multiple of one already
+    proven passes without a new check."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
     source = list(_source_terms(source))  # may be a one-shot iterable
     input_convergent = all(converges(t) for t in source)
-    pending = Expression(source)
-    if not pending:
-        return ReductionResult({}, ReductionTrace(), input_convergent, True)
-    input_weight = pending.weight
+    weights = {t.weight for t in source if t.coefficient != 0}
+    if len(weights) > 1:
+        raise ParseError(f"source terms of mixed weights {sorted(weights)}")
 
-    trace = ReductionTrace()
-    budget = _Budget(max_terms)
-    checker = None
-    if verify:
-        rng = random.Random(seed)
-        checker = lambda rec: numeric.check_record(rec, rng=rng)
-
-    # Terms with no vanishing-boundary move wait here for a sibling branch
-    # to cancel them; every insertion into the pool settles against this
-    # ledger first.
+    # the pool of the module docstring; add merges a term into it
+    pending: dict = {}
     parked: dict = {}
+
+    def add(ct: Term, key) -> None:
+        held = parked.pop(key, None) or pending.pop(key, None)
+        if held is not None:
+            ct = held.with_coefficient(held.coefficient + ct.coefficient)
+        if ct.coefficient != 0:
+            pending[key] = ct
+
+    for ct, key in _keyed(source):
+        add(ct, key)
+    trace = ReductionTrace()
+    rng = random.Random(seed)  # draws the points of verify's rational checks
+    used = 0  # the budget spent: one per pop, one per pass of a merge's loop
+
+    def charge(ticks: int) -> None:
+        nonlocal used
+        used += ticks
+        if used > max_terms:
+            raise TermBudgetExceeded(
+                f"reduction exceeded the term budget of {max_terms}"
+            )
+
     combo: MZVCombination = {}
     while pending:
         trace.max_live = max(trace.max_live, len(pending) + len(parked))
-        t = pending.pop_smallest()
+        key = min(pending)
+        t = pending.pop(key)
         trace.terms_processed += 1
-        budget.tick()
-        assert t.weight == input_weight
+        charge(1)
+        assert t.weight in weights
 
         exp = _expansion(t.pattern, t.exponents, not input_convergent)
         if exp is None:
-            parked[term_key(t)] = t
+            parked[key] = t
             continue
         # Every move is linear in the coefficient, so a visit is the
         # expansion at coefficient 1 times lam.
         lam = t.coefficient
-        budget.tick(exp.ticks)
+        charge(exp.ticks)
         for stored in exp.records:
             rec = _applied(stored, lam)
             trace.records.append(rec)
-            if checker is not None:
-                checker(rec)
-        for ct, key in zip(exp.outputs, exp.keys):
+            if verify:
+                numeric.check_record(rec, rng=rng)
+        for ct, out_key in zip(exp.outputs, exp.keys):
             if lam != 1:
                 ct = Term(ct.pattern, ct.exponents, ct.coefficient * lam)
-            if key in parked:
-                c = parked.pop(key).coefficient + ct.coefficient
-                if c != 0:
-                    pending.add_canonical(ct.with_coefficient(c), key)
-            else:
-                pending.add_canonical(ct, key)
+            add(ct, out_key)
         if exp.word is not None:
-            comb_add(combo, exp.word, t.coefficient)
+            comb_add(combo, exp.word, lam)
 
     if parked:
         shapes = "; ".join(str(u) for u in list(parked.values())[:3])
@@ -483,7 +482,7 @@ def reduce_to_mzv(
         )
 
     for word in combo:
-        assert sum(word) == input_weight, (word, input_weight)
+        assert sum(word) in weights, (word, weights)
     divergent_words = [w for w in combo if not is_admissible(w)]
     divergent_cancelled = not divergent_words
     if input_convergent and not divergent_cancelled:
@@ -498,7 +497,7 @@ def reduce_to_mzv(
 
 
 def trace_replay(
-    source: Union[Term, Expression, Iterable[Term]], trace: ReductionTrace
+    source: Union[Term, Iterable[Term]], trace: ReductionTrace
 ) -> MZVCombination:
     """Re-apply a recorded trace to the input expression.  Every record
     subtracts its input and adds its outputs in a ledger keyed by term_key,

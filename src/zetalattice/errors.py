@@ -46,7 +46,7 @@ class ParseError(ZetaLatticeError, ValueError):
     allows, or a coefficient or numeric value outside the float range), or
     a numeric oracle whose cutoff or node count asks for a table above
     numeric.TABLE_ENTRY_LIMIT: a cube integral, the series of a term or of
-    a word."""
+    a word; and a reduction source of mixed weights."""
 
 
 # ---------------------------------------------------------------------------

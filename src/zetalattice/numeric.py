@@ -500,6 +500,8 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
     if rec.move not in ("pf_step", "insert_aux"):
         raise ValueError(f"no rational check for move {rec.move!r}")
     d = rec.input.depth
+    if any(o.depth != d for o in rec.outputs):
+        raise CheckFailed(f"{rec.move} of {rec.input} changes its depth: {rec}")
     terms = [rec.input, *rec.outputs]
     forms = [_column_forms(t) for t in terms]
     for _ in range(RATIONAL_POINTS):
@@ -555,6 +557,14 @@ def _split_map(a: int, b: int, d: int, bound: int):
         yield x, idx, tuple(y)
 
 
+def _split_rows(rec: TraceRecord, src: Term) -> tuple[int, int]:
+    """Params a, b of a split record: two distinct integer rows of ``src``."""
+    a, b = rec.params.get("a"), rec.params.get("b")
+    if type(a) is type(b) is int and a != b and {a, b} <= set(range(src.depth)):
+        return a, b
+    raise CheckFailed(f"{rec.move} of {rec.input}: a={a!r}, b={b!r} are not two rows")
+
+
 def step_check_lattice(rec: TraceRecord) -> None:
     """Exact check of a harmonic split on the truncated lattice [1,B]^d,
     B = LATTICE_BOUND: the three case substitutions must biject onto the
@@ -571,7 +581,7 @@ def step_check_lattice(rec: TraceRecord) -> None:
             "expected 3 or 4"
         )
     src, outs, boundary = forward_split(rec)
-    a, b = rec.params["a"], rec.params["b"]
+    a, b = _split_rows(rec, src)
     d = src.depth
     depths = tuple(o.depth for o in (*outs, boundary) if o is not None)
     want = (d, d, d - 1, d - 1)[: len(depths)]
@@ -612,7 +622,7 @@ def check_comp_words(rec: TraceRecord) -> None:
     vanishes has no fourth output to carry, and a split whose boundary tends
     to a constant may not drop it."""
     src, _, boundary = forward_split(rec)
-    want = boundary_term(src, rec.params["a"], rec.params["b"])
+    want = boundary_term(src, *_split_rows(rec, src))
     if boundary == want:
         return
     if want is None:

@@ -413,61 +413,6 @@ def is_admissible(word: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# expressions: rational combinations keyed by canonical term identity
-
-
-class Expression:
-    """A finite QQ-linear combination of terms, merged eagerly by canonical
-    key.  All member terms must share one weight."""
-
-    def __init__(self, terms: Iterable[Term] = ()):
-        self._terms: dict = {}
-        self.weight: Optional[int] = None
-        for t in terms:
-            self.add(t)
-
-    def add(self, t: Term) -> None:
-        ct = canonical_term(t)
-        self.add_canonical(ct, term_key(ct))
-
-    def add_canonical(self, ct: Term, key) -> None:
-        """Add a term that is already canonical, with its term_key."""
-        if ct.coefficient == 0:
-            return
-        if self.weight is None:
-            self.weight = ct.weight
-        elif ct.weight != self.weight:
-            raise ValueError(
-                f"mixed weights in expression: {ct.weight} vs {self.weight}"
-            )
-        old = self._terms.get(key)
-        if old is None:
-            self._terms[key] = ct
-        else:
-            c = old.coefficient + ct.coefficient
-            if c == 0:
-                del self._terms[key]
-            else:
-                self._terms[key] = old.with_coefficient(c)
-
-    def terms(self) -> list[Term]:
-        return [self._terms[k] for k in sorted(self._terms)]
-
-    def pop_smallest(self) -> Term:
-        key = min(self._terms)
-        return self._terms.pop(key)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms())
-
-
-# ---------------------------------------------------------------------------
 # word combinations and the quasi-shuffle (stuffle) product
 
 

@@ -8,7 +8,10 @@ REMOVED = {
     "moves": ("square_reduce",),
     "linalg": ("kernel_basis",),
     "numeric": ("verify_trace",),
-    "terms": ("apply_derivative", "comb_scale", "word_weight", "is_staircase"),
+    "terms": (
+        "apply_derivative", "comb_scale", "word_weight", "is_staircase",
+        "Expression",
+    ),
     "periods": (
         "arnold_defect", "wedge_matrix", "CubicalIntegrand", "cubical_integrand"
     ),

@@ -198,6 +198,15 @@ def test_budget_exhaustion_exits_3():
     run_cli("reduce", TORNHEIM, "--max-terms", "1", expect=3)
 
 
+def test_parked_terms_exit_3(capsys):
+    # a deep4 term whose split boundaries never cancel: the reduction found
+    # no applicable move, and no check was requested
+    parks = '{"rows": [[1,1],[1,4],[2,3],[3,5]], "exponents": [2,1,1,1,1]}'
+    for command in ("reduce", "check"):
+        assert cli.main([command, parks]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "ParkedTermsError"
+
+
 def test_eval_and_mzv_agree():
     v1 = json.loads(run_cli("eval", TORNHEIM).stdout)["value"]
     v2 = json.loads(run_cli("mzv", "3", "--N", "20000").stdout)["value"]

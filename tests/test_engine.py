@@ -60,6 +60,20 @@ def test_combination_is_weight_homogeneous():
     assert res.divergent_cancelled
 
 
+def test_mixed_weights_are_refused_before_any_move():
+    before = engine._expansion.cache_info()
+    with pytest.raises(ParseError, match="mixed weights"):
+        reduce_to_mzv([from_mzv((3,)), from_mzv((4,))])
+    assert engine._expansion.cache_info() == before
+
+
+def test_a_source_term_of_coefficient_zero_has_no_weight_to_refuse():
+    res = reduce_to_mzv([from_mzv((3,)), from_mzv((4,)).scaled(0)])
+    alone = reduce_to_mzv(from_mzv((3,)))
+    assert res.combination == alone.combination == {(3,): Rat(1)}
+    assert res.trace.to_json_lines() == alone.trace.to_json_lines()
+
+
 def test_reduction_is_deterministic_bytes():
     a = reduce_to_mzv(TORNHEIM)
     b = reduce_to_mzv(TORNHEIM)
@@ -372,22 +386,15 @@ def cold_expansions(monkeypatch):
     return calls
 
 
-def test_each_shape_is_expanded_once_per_process(cold_expansions, monkeypatch):
+def test_each_shape_is_expanded_once_per_process(cold_expansions):
     calls = cold_expansions
-    pops, shapes = [], set()
-    pop = terms.Expression.pop_smallest
-
-    def counted_pop(pool):
-        t = pop(pool)
-        pops.append(t)
-        shapes.add((t.pattern.rows, t.exponents))
-        return t
-
-    monkeypatch.setattr(terms.Expression, "pop_smallest", counted_pop)
     first = reduce_to_mzv(LOOPING)
-    assert len(pops) > len(shapes)
-    assert 0 < calls["find_circuit"] <= len(shapes)
-    assert 0 < calls["guarded_moves"] <= len(shapes)
+    info = engine._expansion.cache_info()
+    shapes = info.misses
+    # one lookup per pop, and some shapes are popped more than once
+    assert info.hits + info.misses == first.trace.terms_processed > shapes
+    assert 0 < calls["find_circuit"] <= shapes
+    assert 0 < calls["guarded_moves"] <= shapes
     # the table outlives the call: a second call searches nothing
     calls.update(find_circuit=0, guarded_moves=0)
     second = reduce_to_mzv(LOOPING)

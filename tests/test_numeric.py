@@ -435,6 +435,43 @@ def test_lattice_check_refuses_malformed_splits_typed():
                 step_check_lattice(bad)
 
 
+def test_a_rational_record_that_changes_the_depth_is_a_failed_check():
+    _, trace = tornheim_trace()
+    deeper = term([(1, 3), (2, 3), (3, 3)], [1, 1, 1])
+    for move in ("pf_step", "insert_aux"):
+        rec = next(r for r in trace.records if r.move == move)
+        bad = TraceRecord(rec.move, rec.input, (deeper,), rec.params)
+        with pytest.raises(CheckFailed, match="changes its depth"):
+            check_record(bad, rng=random.Random(0))
+
+
+def test_a_split_without_its_row_a_is_a_failed_check():
+    trace = reduce_to_mzv(SPLITS_BOTH_WAYS).trace
+    for move in ("forward_hp", "inverse_hp"):
+        rec = next(r for r in trace.records if r.move == move)
+        bad = TraceRecord(rec.move, rec.input, rec.outputs, {"b": rec.params["b"]})
+        for check in (step_check_lattice, check_comp_words):
+            with pytest.raises(CheckFailed, match="not two rows"):
+                check(bad)
+        with pytest.raises(CheckFailed):
+            check_record(bad, rng=random.Random(0))
+
+
+def test_a_split_of_rows_outside_its_term_is_a_failed_check():
+    trace = reduce_to_mzv(SPLITS_BOTH_WAYS).trace
+    for move in ("forward_hp", "inverse_hp"):
+        rec = next(r for r in trace.records if r.move == move)
+        a, b = rec.params["a"], rec.params["b"]
+        for params in ({"a": 7, "b": b}, {"a": -1, "b": b}, {"a": b, "b": b},
+                       {"a": str(a), "b": b}, {"a": a, "b": b == 1}):
+            bad = TraceRecord(rec.move, rec.input, rec.outputs, params)
+            for check in (step_check_lattice, check_comp_words):
+                with pytest.raises(CheckFailed, match="not two rows"):
+                    check(bad)
+            with pytest.raises(CheckFailed):
+                check_record(bad, rng=random.Random(0))
+
+
 def test_emit_check_catches_a_wrong_word():
     _, trace = tornheim_trace()
     rec = next(r for r in trace.records if r.move == "emit")
@@ -724,13 +761,13 @@ def test_the_same_split_at_other_rows_is_checked_afresh(cold_table):
 
 
 def test_params_of_another_type_are_checked_afresh(cold_table):
-    # 1.0 == 1 and both hash alike, but a float cannot index the lattice
-    # points: the cached pass of the int rows must not answer for it
+    # 1.0 == 1 and both hash alike, but a float is not a row: the cached
+    # pass of the int rows must not answer for it
     rec = next(r for r in one_record_per_kind() if r.move == "forward_hp")
     check_record(rec, random.Random(0))
     floats = {name: float(v) for name, v in rec.params.items()}
     bad = TraceRecord(rec.move, rec.input, rec.outputs, floats)
-    with pytest.raises(TypeError):
+    with pytest.raises(CheckFailed, match="not two rows"):
         check_record(bad, random.Random(0))
 
 
