@@ -59,9 +59,7 @@ from .terms import (
 )
 from .moves import (
     TraceRecord,
-    aux_circuit,
     forward_hp,
-    insert_aux_column,
     inverse_hp,
     pf_step,
     split_defect_vanishes,
@@ -70,7 +68,6 @@ from .engine import (
     ReductionResult,
     ReductionTrace,
     first_mismatch,
-    merge_step,
     reduce_to_mzv,
     trace_replay,
 )
@@ -109,10 +106,10 @@ __all__ = [
     "is_admissible", "is_chain", "kernel_at", "parse_term", "parse_word",
     "reflect", "render_combination", "stuffle_words", "term", "term_key",
     "term_to_json", "to_mzv", "validate_pattern",
-    "TraceRecord", "aux_circuit", "forward_hp", "insert_aux_column",
-    "inverse_hp", "pf_step", "split_defect_vanishes",
+    "TraceRecord", "forward_hp", "inverse_hp", "pf_step",
+    "split_defect_vanishes",
     "ReductionResult", "ReductionTrace", "first_mismatch", "reduce_to_mzv",
-    "trace_replay", "merge_step",
+    "trace_replay",
     "CheckReport", "EvalReport", "check_record", "check_reduction",
     "eval_mzv", "eval_term", "step_check_lattice", "step_check_rational",
     "FormMonomial", "forest_expand", "integral_eval", "monomial_value",

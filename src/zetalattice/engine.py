@@ -24,7 +24,7 @@ Every popped term goes through a fixed priority of moves:
       bookkeeping): the inverse splits and the staircase repair, with the
       guard waived.
 
-Partial fractions and auxiliary columns are exact at every lattice cutoff.
+Partial fractions, a merge's loop included, are exact at every lattice cutoff.
 A harmonic split is exact on the full lattice but misclassifies the corner
 n_a + n_b > B of the box [1, B]^d, so splitting a *divergent* intermediate
 can shift a finite amount of value out of the books even though every
@@ -43,13 +43,17 @@ survives to the end the reduction aborts rather than emit an unsound
 answer.  A divergent input's term with no split at all raises
 ProgressViolation.
 
-The merge step splits two adjacent rows harmonically; the second and third
-parts keep their shape, while the first part (two rows sharing a start --
-undoing it naively would just invert the split) gets a fresh exponent-0
-column, a partial fraction pivoted there, and full renormalization.  A
-global term budget guards the whole loop: every pop and every pass of a
-merge's inner loop.  Words come only from emits, and reduce_to_mzv never
-calls itself.
+A merge of two adjacent rows writes two records.  The first is its
+harmonic split, forward_hp; the second and third parts keep their shape.
+The first part has two rows sharing a start, and undoing it naively would
+just invert the split, so a private loop (_merge) gives it a fresh
+exponent-0 column and pivots partial fractions there until each term is
+back to the input's width.  The second record is one pf_step from the
+canonical first part to the loop's net outputs, params
+``{"pair": [i, j]}``: the loop's intermediates are never recorded, and no
+record holds a zero-exponent column.  A global term budget guards the
+whole reduction: every pop and every pass of a merge's loop.  Words come
+only from emits, and reduce_to_mzv never calls itself.
 
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
@@ -79,10 +83,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import numeric
 from .errors import (
+    IntervalBroken,
+    InvalidPivot,
     ParkedTermsError,
     ParseError,
     ProgressViolation,
@@ -92,10 +98,8 @@ from .errors import (
 from .linalg import find_circuit
 from .moves import (
     TraceRecord,
-    aux_circuit,
     boundary_term,
     forward_hp,
-    insert_aux_column,
     inverse_hp,
     pf_step,
     split_defect_vanishes,
@@ -226,59 +230,73 @@ def guarded_moves(t: Term, formal: bool):
 # the merge step
 
 
-def _pf_record(t: Term, circuit, pivot: int) -> TraceRecord:
-    """The partial-fraction step of ``t`` over ``circuit`` at ``pivot``, as
-    its trace record."""
-    params = {
-        "members": list(circuit.members),
-        "coefficients": [str(c) for c in circuit.coefficients],
-        "pivot": pivot,
-    }
-    return TraceRecord("pf_step", t, tuple(pf_step(t, circuit, pivot)), params)
+def _aux_column(t: Term, i: int, j: int) -> Term:
+    """``t``, the canonical first part of a merge's split, with a column of
+    exponent 0 inserted immediately before column i, so at position i.  The
+    column is covered exactly by the rows straddling the insertion point
+    (start < i <= end) and by the longer of the two rows that start at i,
+    which ends at some r >= j while the other ends at j-1; rows lying
+    entirely left of column i are untouched, and the kernel is unchanged."""
+    at_i = [r for r, (s, _) in enumerate(t.pattern.rows) if s == i]
+    ends = sorted((t.pattern.rows[r][1], r) for r in at_i)
+    if len(at_i) != 2 or ends[0][0] != j - 1 or ends[1][0] < j:
+        raise IntervalBroken(
+            f"rows starting at {i} end at {[e for e, _ in ends]}; "
+            f"expected {j - 1} and one at or after {j}"
+        )
+    extended = ends[1][1]
+    rows = []
+    for r, (s, e) in enumerate(t.pattern.rows):
+        if r == extended:
+            rows.append((i, e + 1))
+            continue
+        rows.append((s + 1 if s >= i else s, e + 1 if e >= i else e))
+    exps = list(t.exponents)
+    exps.insert(i - 1, 0)
+    return Term(Pattern(t.width + 1, tuple(rows)), tuple(exps), t.coefficient)
 
 
-def merge_step(
-    t: Term,
-    a: int,
-    b: int,
-    recorder: Callable,
-    boundary: Optional[Term] = None,
-) -> list[Term]:
-    """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k]: one
-    forward harmonic split, then the first part (which has two rows starting
-    at i -- inverting it naively would undo the split) gets a fresh
-    exponent-0 column and a partial fraction pivoted there until the extra
-    column is gone.  The fresh column stays the pivot throughout: exponents
-    are the only thing the loop changes, so the circuit found once stays
-    valid and each pass moves one exponent unit onto the pivot, ending the
-    loop after at most weight-many passes.  A generic pivot choice here can
-    invert the insertion and loop forever.  A compensated merge books its
-    ``boundary`` (see boundary_term) as the split's fourth output.  Returns
-    the raw outputs, unmerged."""
+def _merge(
+    t: Term, a: int, b: int, boundary: Optional[Term]
+) -> tuple[list[TraceRecord], list[Term], int]:
+    """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k], as its
+    two records, its raw outputs (unmerged) and the passes of its loop.
+
+    The forward harmonic split comes first; a compensated merge books its
+    ``boundary`` (see boundary_term) as the split's fourth output.  Its
+    first part has two rows starting at i, and inverting it naively would
+    undo the split.  So that part, made canonical, gets a fresh exponent-0
+    column (_aux_column) and partial fractions pivoted there until every
+    term is back to the width of ``t``.  The fresh column stays the pivot
+    throughout: exponents are the only thing the loop changes, so the
+    circuit found once stays valid and each pass moves one exponent unit
+    onto the pivot, ending the loop after at most weight-many passes.  A
+    generic pivot choice here can invert the insertion and loop forever.
+    The loop's net outputs, in the order it makes them, are one pf_step
+    record from the canonical first part, with params ``{"pair": [i, j]}``.
+    """
     i = t.pattern.rows[a][0]
     j = t.pattern.rows[b][0]
     out1, *rest = forward_hp(t, a, b)
     if boundary is not None:
         rest.append(boundary)
-    recorder(TraceRecord("forward_hp", t, (out1, *rest), {"a": a, "b": b}))
+    split = TraceRecord("forward_hp", t, (out1, *rest), {"a": a, "b": b})
 
     c1 = canonical_term(out1)
-    aux_t, aux_pos = insert_aux_column(c1, i, j)
-    recorder(
-        TraceRecord("insert_aux", c1, (aux_t,), {"pair": [i, j], "aux": aux_pos})
-    )
-    circuit = aux_circuit(aux_t, aux_pos)
+    aux_t = _aux_column(c1, i, j)
+    circuit = find_circuit(aux_t.pattern.columns(), must_contain=i - 1)
+    if circuit is None:
+        raise InvalidPivot(f"no circuit through the aux column of {aux_t}")
+    net: list[Term] = []
     work = [aux_t]
+    passes = 0
     while work:
-        rec = _pf_record(work.pop(), circuit, aux_pos - 1)
-        recorder(rec)
-        for raw in rec.outputs:
-            if raw.width > t.width:
-                # member exponent still positive: no column vanished yet
-                work.append(raw)
-                continue
-            rest.append(raw)
-    return rest
+        passes += 1
+        for raw in pf_step(work.pop(), circuit, i - 1):
+            # wider than t: no column has vanished yet
+            (work if raw.width > t.width else net).append(raw)
+    merged = TraceRecord("pf_step", c1, tuple(net), {"pair": [i, j]})
+    return [split, merged], rest + net, passes
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +365,7 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
 # Measured with tracemalloc: filled to the bound from the 2,877 shapes of
 # random_corpus(seed=11, count=400, max_depth=4, max_weight=7), the table
 # and the values interned for it held 3.3 MB.  One deep4 pass stores 850
-# shapes in 1.4 MB, one verified corpus200 pass 442 in 0.5 MB.
+# shapes in 1.0 MB, one verified corpus200 pass 442 in 0.4 MB.
 EXPANSION_BOUND = 2048  # shapes kept
 
 
@@ -366,8 +384,14 @@ def _expansion(
     if word is not None:
         records.append(TraceRecord("emit", t, (), {"word": list(word)}))
     elif (circuit := find_circuit(t.pattern.columns())) is not None:
-        records.append(_pf_record(t, circuit, max(circuit.members)))
-        outputs = _keyed(records[0].outputs)
+        params = {
+            "members": list(circuit.members),
+            "coefficients": [str(c) for c in circuit.coefficients],
+            "pivot": max(circuit.members),
+        }
+        outs = tuple(pf_step(t, circuit, params["pivot"]))
+        records.append(TraceRecord("pf_step", t, outs, params))
+        outputs = _keyed(outs)
     else:
         move = next(guarded_moves(t, formal), None)
         if move is None:
@@ -383,9 +407,8 @@ def _expansion(
             records.append(TraceRecord("inverse_hp", t, outs, {"a": a, "b": b}))
             outputs = _keyed(outs)
         else:
-            outputs = _keyed(merge_step(t, a, b, records.append, boundary))
-            # one tick per pass of the merge's inner loop: its pf_step records
-            ticks = sum(rec.move == "pf_step" for rec in records)
+            records, outs, ticks = _merge(t, a, b, boundary)
+            outputs = _keyed(outs)
     return _Expansion(
         tuple(map(_stored, records)),
         tuple(_shared(ct) for ct, _ in outputs),
@@ -501,10 +524,9 @@ def trace_replay(
 ) -> MZVCombination:
     """Re-apply a recorded trace to the input expression.  Every record
     subtracts its input and adds its outputs in a ledger keyed by term_key,
-    which needs no canonical form (raw aux terms carry a zero-exponent column
-    even when dropping it would break a row interval) and is computed once
-    per shape and process, so a replay pays one table lookup and one rational
-    addition per term.  An emit adds its input's coefficient to its word,
+    which needs no canonical form and is computed once per shape and
+    process, so a replay pays one table lookup and one rational addition
+    per term.  An emit adds its input's coefficient to its word,
     which numeric.emit_word checks against the input's chain, read once per
     shape: a word the chain does not read, or none, raises CheckFailed.
     Returns the rebuilt word combination once the ledger is empty; otherwise

@@ -1,6 +1,6 @@
 """Value-preserving rewrites on lattice zeta terms.
 
-Three families of moves, each an exact identity of kernels or of lattice sums:
+Two families of moves, each an exact identity of kernels or of lattice sums:
 
 * ``pf_step`` — partial fractions.  A vanishing rational combination of
   column forms  sum_t alpha_t * L_t == 0  lets one solve for the pivot form
@@ -15,10 +15,6 @@ Three families of moves, each an exact identity of kernels or of lattice sums:
   (u,u+v), (u,u) turn each part into a new term whose two special rows are
   {[i,k],[i,j]}, {[i,k],[j+1,k]}, {[i,k]} with exponents unchanged.
   ``inverse_hp`` solves the same identity for its first right-hand term.
-
-* ``insert_aux_column`` — bookkeeping only: a fresh column with exponent 0
-  (kernel unchanged) placed so that a circuit through it exists; the engine
-  immediately pivots a pf_step at it.
 
 A harmonic split is exact on the full lattice but not inside a box cutoff:
 ``split_defect_vanishes`` decides whether its truncation boundary vanishes,
@@ -44,7 +40,7 @@ from .errors import (
     RowsNotAdjacent,
     ZetaLatticeError,
 )
-from .linalg import CircuitDependency, find_circuit
+from .linalg import CircuitDependency
 from .terms import (
     Pattern,
     Rat,
@@ -62,7 +58,7 @@ class TraceRecord:
     """One applied move: raw input, raw outputs, and enough parameters to
     replay the move and to check it independently."""
 
-    move: str  # "pf_step" | "forward_hp" | "inverse_hp" | "insert_aux" | "emit"
+    move: str
     input: Term
     outputs: tuple[Term, ...]
     params: dict = field(default_factory=dict)
@@ -296,54 +292,3 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
         if mass < need:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# auxiliary column
-
-
-def insert_aux_column(t: Term, i: int, j: int) -> tuple[Term, int]:
-    """Insert, immediately before column i, a column with exponent 0 covered
-    exactly by the rows straddling the insertion point (start < i <= end) and
-    by the longer of the two rows that start at i (the 'extended' row).  Rows
-    lying entirely left of column i are untouched.  The kernel is unchanged.
-
-    Expects the first output of forward_hp: exactly two rows start at i,
-    ending at j-1 and at r >= j.  Returns (term, aux position, both 1-based).
-    """
-    at_i = [r for r, (s, _) in enumerate(t.pattern.rows) if s == i]
-    if len(at_i) != 2:
-        raise IntervalBroken(f"expected exactly two rows starting at {i}")
-    ends = sorted((t.pattern.rows[r][1], r) for r in at_i)
-    if ends[0][0] != j - 1 or ends[1][0] < j:
-        raise IntervalBroken(
-            f"rows at start {i} end at {ends[0][0]},{ends[1][0]}; "
-            f"expected {j - 1} and >= {j}"
-        )
-    extended = ends[1][1]
-    rows = []
-    for r, (s, e) in enumerate(t.pattern.rows):
-        if r == extended:
-            rows.append((i, e + 1))
-            continue
-        rows.append((s + 1 if s >= i else s, e + 1 if e >= i else e))
-    exps = list(t.exponents)
-    exps.insert(i - 1, 0)
-    out = Term(Pattern(t.width + 1, tuple(rows)), tuple(exps), t.coefficient)
-    straddling = t.pattern.cover[i - 1] & ~sum(1 << r for r in at_i)
-    expected = straddling | 1 << extended
-    if out.pattern.cover[i - 1] != expected:
-        raise IntervalBroken(
-            f"aux column covered by row mask {out.pattern.cover[i - 1]:b}, "
-            f"expected {expected:b}"
-        )
-    return out, i
-
-
-def aux_circuit(t: Term, aux_pos: int) -> CircuitDependency:
-    """The deterministic circuit through the auxiliary column (1-based
-    position).  Always exists: the other columns span the full row space."""
-    circuit = find_circuit(t.pattern.columns(), must_contain=aux_pos - 1)
-    if circuit is None:
-        raise InvalidPivot(f"no circuit through auxiliary column {aux_pos}")
-    return circuit

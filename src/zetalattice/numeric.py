@@ -16,7 +16,7 @@ Two kinds of checks live here, at different levels of trust:
   same slabs.  Approximate, tolerance-based.
 * per-step checks: every recorded rewrite is re-verified on its own, either as
   an exact rational-function identity sampled at random positive points
-  (partial fractions, auxiliary columns) or as an explicit bijection between
+  (partial fractions) or as an explicit bijection between
   truncated lattices with exact kernel matching (harmonic splits); an emit
   must have no outputs and its chain input's word.  Every check is linear
   in the record's coefficients, and no param holds one, so check_record
@@ -26,7 +26,8 @@ Two kinds of checks live here, at different levels of trust:
   check.  Each
   relation still meets its full check once, so the Schwartz-Zippel bound
   per relation, (D / 2^30)^10 for a false identity of degree D, is
-  unchanged.
+  unchanged.  A rational record whose input and m outputs all have weight
+  W clears its denominators to a polynomial identity of degree D <= m * W.
 
 The extrapolation model is value + (a + b*log N + c*log^2 N)/N fitted at
 N/8, N/4, N/2, N, which covers the full leading tail of these series
@@ -489,15 +490,19 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
     positive integer points of [1, 2^30]^depth.  A rational-function identity
     that holds on the positive integers holds everywhere, and a false one of
     degree D survives one point with probability at most D / 2^30
-    (Schwartz-Zippel).  Valid for moves that keep the summation variables in
-    place: partial fractions and auxiliary-column insertion.  An emit must
-    have no outputs, and its input must be a chain that reads its word."""
+    (Schwartz-Zippel).  Multiplied through by every denominator, none of
+    which vanishes at a positive point, the identity is a polynomial one of
+    degree D at most the sum of its terms' weights less the smallest: m * W
+    when the input and its m outputs all have weight W.  Valid for moves
+    that keep the summation variables in place: partial fractions, a
+    merge's loop among them.  An emit must have no outputs, and its input
+    must be a chain that reads its word."""
     if rec.move == "emit":
         emit_word(rec)
         if rec.outputs:
             raise CheckFailed(f"emit record has outputs: {rec}")
         return
-    if rec.move not in ("pf_step", "insert_aux"):
+    if rec.move != "pf_step":
         raise ValueError(f"no rational check for move {rec.move!r}")
     d = rec.input.depth
     if any(o.depth != d for o in rec.outputs):
@@ -643,8 +648,8 @@ CHECKED_BOUND = 4096  # relations kept, as many as _word_value's memo
 # The key of every record that passed, least recently used first, mapped
 # to itself: a hit moves the stored copy to the end, not the one just built.
 # The tuples inside a stored key (rows, exponents, params) are interned: a
-# corpus200 pass builds 2,868 of them, of only 195 distinct values, so its
-# 743 relations take about 0.23 MB instead of 0.75 MB.
+# corpus200 pass builds 4,094 of them, of only 187 distinct values, so its
+# 542 relations take about 0.13 MB instead of 0.20 MB.
 _checked: dict = {}
 
 
@@ -684,7 +689,7 @@ def _relation_key(rec: TraceRecord) -> Optional[tuple]:
 
 def _check(rec: TraceRecord, rng) -> None:
     """Every exact check of one record, with no table."""
-    if rec.move in ("pf_step", "insert_aux", "emit"):
+    if rec.move in ("pf_step", "emit"):
         step_check_rational(rec, rng)
     elif rec.move in ("forward_hp", "inverse_hp"):
         step_check_lattice(rec)

@@ -222,8 +222,8 @@ def term_key(t: Term):
     return _term_key(t.pattern, t.exponents)
 
 
-# Measured with tracemalloc: one deep4 pass fills the table with 2,441
-# shapes in 0.8 MB, one verified corpus200 pass with 1,160 in 0.25 MB.  It
+# Measured with tracemalloc: one deep4 pass fills the table with 1,986
+# shapes in 0.7 MB, one verified corpus200 pass with 959 in 0.24 MB.  It
 # must hold a whole pass: a least-recently-used table that a pass cycles
 # through misses on every lookup.
 TERM_KEY_BOUND = 4096  # shapes kept
@@ -243,7 +243,7 @@ def _term_key(pattern: Pattern, exponents: tuple[int, ...]) -> tuple:
 # ---------------------------------------------------------------------------
 # one shared copy of each value that long-lived tables keep
 
-INTERN_BOUND = 8192  # values kept; one deep4 pass interns 6,350
+INTERN_BOUND = 8192  # values kept; one deep4 pass interns 5,069
 
 # Each value handed to interned(), mapped to itself.  Cleared whole when
 # full: a clear costs sharing, never correctness.

@@ -4,8 +4,10 @@ import zetalattice
 
 # Exported once, removed since: nothing outside their own tests called them.
 REMOVED = {
-    "engine": ("triangularize", "staircase_step", "duplicate_start_pair"),
-    "moves": ("square_reduce",),
+    "engine": (
+        "triangularize", "staircase_step", "duplicate_start_pair", "merge_step"
+    ),
+    "moves": ("square_reduce", "insert_aux_column", "aux_circuit"),
     "linalg": ("kernel_basis",),
     "numeric": ("verify_trace",),
     "terms": (

@@ -41,7 +41,7 @@ def test_reduce_writes_words_and_a_replayable_trace(tmp_path):
     assert len(lines) == out["records"]
     for line in lines:
         rec = json.loads(line)
-        assert rec["move"] in {"pf_step", "forward_hp", "inverse_hp", "insert_aux", "emit"}
+        assert rec["move"] in {"pf_step", "forward_hp", "inverse_hp", "emit"}
 
 
 def test_reduce_output_is_byte_identical():

@@ -5,10 +5,10 @@ from fractions import Fraction as Rat
 import pytest
 
 from zetalattice import engine, numeric, terms
+from zetalattice.corpus import random_corpus
 from zetalattice.engine import (
     ReductionTrace,
     first_mismatch,
-    merge_step,
     reduce_to_mzv,
     trace_replay,
 )
@@ -133,28 +133,17 @@ def test_a_warm_term_key_table_cannot_hide_a_broken_trace():
             with pytest.raises(CheckFailed):
                 trace_replay(STICKY, with_output(i, bad))
 
-    def entry(u):
-        """What u books in the ledger, keyed without the table."""
-        return terms._term_key.__wrapped__(u.pattern, u.exponents), u.coefficient
-
-    dropped = 0
-    for i, rec in enumerate(records):
-        # a pf_step of a merge's inner loop may only move exponent between
-        # columns of one cover: its output books what its input did, and
-        # the ledger cannot miss it.  It must miss any other record.
-        if [entry(o) for o in rec.outputs] == [entry(rec.input)]:
-            continue
-        dropped += 1
+    # every record changes what the ledger holds, so dropping any one of
+    # them leaves it unbalanced
+    for i in range(len(records)):
         with pytest.raises(CheckFailed):
             trace_replay(STICKY, ReductionTrace(records[:i] + records[i + 1 :]))
-    assert dropped > len(records) // 2
 
 
 def test_a_raw_aux_term_cancels_against_its_canonical_twin():
-    res = reduce_to_mzv(TORNHEIM)
-    assert trace_replay(TORNHEIM, res.trace) == res.combination
-    rec = next(r for r in res.trace.records if r.move == "insert_aux")
-    (aux,) = rec.outputs
+    # no record holds a zero-exponent column, but the ledger's key ignores
+    # one: (2,2),(1,3) with exponents 0,2,2 has the kernel of (1,2),(2,2)
+    aux = Term(terms.Pattern(3, ((2, 2), (1, 3))), (0, 2, 2), Rat(1))
     twin = canonical_term(aux)
     assert 0 in aux.exponents and 0 not in twin.exponents
     # two table entries, one key
@@ -340,11 +329,41 @@ def test_an_emit_without_a_word_is_a_failed_check():
 
 
 def test_merge_step_outputs_share_the_input_weight():
-    recs = []
     t = term([(1, 1), (2, 2)], [2, 2])
-    outs = merge_step(t, 0, 1, recs.append, None)
+    recs, outs, passes = engine._merge(t, 0, 1, None)
     assert outs and all(u.weight == t.weight for u in outs)
-    assert recs and recs[0].move == "forward_hp"
+    assert [r.move for r in recs] == ["forward_hp", "pf_step"]
+    assert passes >= 1
+
+
+def test_a_merge_is_one_split_and_one_pf_step(corpus200):
+    deep4 = random_corpus(seed=11, count=60, max_depth=4, max_weight=7)
+    merges = 0
+    for t in [*corpus200, *deep4]:
+        try:
+            records = reduce_to_mzv(t).trace.records
+        except ParkedTermsError:
+            continue
+        for rec in records:
+            for u in (rec.input, *rec.outputs):
+                assert 0 not in u.exponents, rec
+        # the engine splits forward only in a merge, and a merge's pf_step
+        # alone holds a pair
+        for split, pf in zip(records, records[1:]):
+            assert (split.move == "forward_hp") == ("pair" in pf.params), pf
+            if split.move != "forward_hp":
+                continue
+            merges += 1
+            assert pf.move == "pf_step"
+            rows = split.input.pattern.rows
+            a, b = split.params["a"], split.params["b"]
+            assert pf.params == {"pair": [rows[a][0], rows[b][0]]}
+            assert pf.input == canonical_term(split.outputs[0])
+            assert pf.outputs
+            assert all(o.width == split.input.width for o in pf.outputs)
+        assert "pair" not in records[0].params
+        assert records[-1].move != "forward_hp"
+    assert merges > 1000
 
 
 def test_parked_terms_are_reported_as_term_json():
@@ -476,7 +495,7 @@ def test_verify_checks_every_replayed_record(monkeypatch):
 
     monkeypatch.setattr(numeric, "check_record", counted_check)
     res = reduce_to_mzv(REVISITING, verify=True)
-    assert len(checked) == len(res.trace.records) == 57
+    assert len(checked) == len(res.trace.records) == 37
     # some records replay an earlier shape at another coefficient
     first, scaled = {}, 0
     for rec in res.trace.records:
@@ -499,7 +518,7 @@ def test_verify_checks_every_record_with_a_warm_table(cold_expansions, monkeypat
     res = reduce_to_mzv(REVISITING, verify=True)
     assert cold_expansions == {"find_circuit": 0, "guarded_moves": 0}
     assert checked == res.trace.records
-    assert len(checked) == 57
+    assert len(checked) == 37
 
 
 def test_budget_counts_every_revisit():

@@ -22,9 +22,9 @@ from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import ParkedTermsError, ZetaLatticeError
 from zetalattice.terms import combination_to_json, converges, term
 
-CORPUS200_DIGEST = "1fca710aa818d4f19c1695c622437d69af8692a0ec10314bf4080a9bea16ac18"
+CORPUS200_DIGEST = "40326a40a52e46bf106edf35b7f1b2fd0b4239bb0f3742db3aa7eb0a2404d35e"
 DIVERGENT_SMALL_DIGEST = (
-    "986c79bafbc31021ed9d15312794fa2846e68bb18c3cbae39c1628f2aff898bb"
+    "8ba9a4407c53d81f4a6b147cf7e09bd6438e71dd5abced29a76664087e430b4f"
 )
 CORPUS200_WORDS_DIGEST = (
     "52c89e0a1c441b1aa7b325805244f3a1da173b7da695eaa3942b094b74571f8e"
@@ -32,7 +32,7 @@ CORPUS200_WORDS_DIGEST = (
 DIVERGENT_SMALL_WORDS_DIGEST = (
     "7c7c9fb59eab8eecb8ae3ff7284c7dfee968be898cfef2f3e789618fb931abf5"
 )
-DEEP4_DIGEST = "dbb9c6a53aba58833a6a99f28abc5f9aa9fb37bff889aadbbd0db63e212421cd"
+DEEP4_DIGEST = "bcb1a0be9597586b53404da1fa553ef30057e8a7fb414a17b8a907aab6c1bac6"
 
 
 def corpus_digests(terms) -> tuple[str, str]:

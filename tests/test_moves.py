@@ -3,15 +3,10 @@ from fractions import Fraction as Rat
 import pytest
 
 import zetalattice as zl
+from zetalattice.engine import _aux_column
 from zetalattice.errors import IntervalBroken, RowsDontShareStart, RowsNotAdjacent
 from zetalattice.linalg import find_circuit
-from zetalattice.moves import (
-    aux_circuit,
-    forward_hp,
-    insert_aux_column,
-    inverse_hp,
-    pf_step,
-)
+from zetalattice.moves import forward_hp, inverse_hp, pf_step
 from zetalattice.terms import Term, canonical_term, kernel_at, term
 
 POINTS = [
@@ -123,14 +118,14 @@ def test_inverse_hp_requires_shared_start():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary column
+# a merge's auxiliary column
 
 
-def test_insert_aux_column_keeps_kernel_and_marks_cover():
+def test_aux_column_keeps_kernel_and_marks_cover():
     t = term([(1, 1), (2, 2)], [2, 2])
     c1 = canonical_term(forward_hp(t, 0, 1)[0])  # rows (1,1),(1,2)
-    aux_t, pos = insert_aux_column(c1, 1, 2)
-    assert pos == 1
+    aux_t = _aux_column(c1, 1, 2)
+    pos = 1  # inserted before column i = 1
     assert aux_t.exponents[pos - 1] == 0
     assert aux_t.width == c1.width + 1
     # kernel unchanged: the new column carries exponent zero
@@ -142,10 +137,10 @@ def test_insert_aux_column_keeps_kernel_and_marks_cover():
     assert len(cover) == 1 and max(ends) == aux_t.width
 
 
-def test_insert_aux_column_leaves_left_rows_alone():
+def test_aux_column_leaves_left_rows_alone():
     t = term([(1, 1), (2, 3), (2, 2)], [2, 1, 1])
-    aux_t, pos = insert_aux_column(t, 2, 3)
-    assert pos == 2
+    aux_t = _aux_column(t, 2, 3)
+    assert aux_t.exponents[1] == 0
     assert aux_t.pattern.rows[0] == (1, 1)
     assert aux_t.pattern.rows[1] == (2, 4)
     assert aux_t.pattern.rows[2] == (3, 3)
@@ -153,16 +148,17 @@ def test_insert_aux_column_leaves_left_rows_alone():
         assert kernel_at(aux_t, p) == kernel_at(t, p)
 
 
-def test_insert_aux_column_rejects_wrong_shapes():
+def test_aux_column_rejects_wrong_shapes():
     with pytest.raises(IntervalBroken):
-        insert_aux_column(term([(1, 2), (2, 3)], [1, 1, 1]), 1, 2)
+        _aux_column(term([(1, 2), (2, 3)], [1, 1, 1]), 1, 2)
 
 
 def test_aux_circuit_runs_through_the_aux_column():
     t = term([(1, 1), (2, 2)], [2, 2])
     c1 = canonical_term(forward_hp(t, 0, 1)[0])
-    aux_t, pos = insert_aux_column(c1, 1, 2)
-    cir = aux_circuit(aux_t, pos)
+    aux_t = _aux_column(c1, 1, 2)
+    pos = 1  # inserted before column i = 1
+    cir = find_circuit(aux_t.pattern.columns(), must_contain=pos - 1)
     assert (pos - 1) in cir.members
     cols = aux_t.pattern.columns()
     for r in range(aux_t.depth):

@@ -435,11 +435,21 @@ def test_lattice_check_refuses_malformed_splits_typed():
                 step_check_lattice(bad)
 
 
+def one_pf_step_per_kind(records):
+    """The first circuit pf_step and the first merge pf_step of ``records``,
+    told apart by their params: a merge's hold its ``pair`` only."""
+    kinds = {}
+    for rec in records:
+        if rec.move == "pf_step":
+            kinds.setdefault("pair" in rec.params, rec)
+    assert set(kinds) == {False, True}
+    return list(kinds.values())
+
+
 def test_a_rational_record_that_changes_the_depth_is_a_failed_check():
     _, trace = tornheim_trace()
     deeper = term([(1, 3), (2, 3), (3, 3)], [1, 1, 1])
-    for move in ("pf_step", "insert_aux"):
-        rec = next(r for r in trace.records if r.move == move)
+    for rec in one_pf_step_per_kind(trace.records):
         bad = TraceRecord(rec.move, rec.input, (deeper,), rec.params)
         with pytest.raises(CheckFailed, match="changes its depth"):
             check_record(bad, rng=random.Random(0))
@@ -629,7 +639,8 @@ def corpus_records(corpus200):
 
 def test_integer_checks_match_the_fraction_reference(corpus_records):
     moves = {r.move for r in corpus_records}
-    assert {"pf_step", "insert_aux", "forward_hp", "inverse_hp"} <= moves
+    assert moves == {"emit", "pf_step", "forward_hp", "inverse_hp"}
+    one_pf_step_per_kind(corpus_records)
     compensated = {r.move for r in corpus_records if len(r.outputs) == 4}
     assert compensated == {"forward_hp", "inverse_hp"}
     for rec in corpus_records:
@@ -681,15 +692,18 @@ def cold_table(monkeypatch):
 
 
 def one_record_per_kind():
-    """The first record of each move, and of each split with and without a
-    boundary term, in the reduction of SPLITS_BOTH_WAYS."""
+    """The first record of each move, of each split with and without a
+    boundary term, and of a circuit's and a merge's pf_step, in the
+    reduction of SPLITS_BOTH_WAYS."""
     kinds = {}
     for rec in reduce_to_mzv(SPLITS_BOTH_WAYS).trace.records:
-        kinds.setdefault((rec.move, len(rec.outputs)), rec)
-    assert {move for move, _ in kinds} == {
-        "emit", "pf_step", "insert_aux", "forward_hp", "inverse_hp"
+        merge = "pair" in rec.params
+        kinds.setdefault((rec.move, len(rec.outputs), merge), rec)
+    assert {move for move, _, _ in kinds} == {
+        "emit", "pf_step", "forward_hp", "inverse_hp"
     }
-    assert ("forward_hp", 3) in kinds and ("forward_hp", 4) in kinds
+    assert {n for move, n, _ in kinds if move == "forward_hp"} == {3, 4}
+    assert {m for move, _, m in kinds if move == "pf_step"} == {False, True}
     return list(kinds.values())
 
 
@@ -699,6 +713,7 @@ def test_a_warm_table_still_rejects_every_tampered_record(corpus_records, cold_t
         check_record(rec, rng)
     warm = len(numeric._checked)
     assert 0 < warm < len(corpus_records)
+    one_pf_step_per_kind(corpus_records)
     for rec in corpus_records:
         if rec.move == "emit":
             continue

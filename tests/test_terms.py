@@ -163,9 +163,23 @@ def outcome(canon, t):
         return "IntervalBroken"
 
 
+# Both ways canonical_term breaks, which no record term reaches: a column
+# of exponent 0 with a cover of its own, and a row that covers no column.
+# (Merging columns of equal cover cannot split a row interval: every row
+# covering both copies covers what lies between.)
+BROKEN = [
+    Term(Pattern(2, ((1, 1), (1, 2))), (1, 0), Rat(1)),
+    Term(Pattern(2, ((1, 2), (2, 1))), (1, 1), Rat(1)),
+]
+
+
 def test_canonical_term_matches_the_bubble_merge(record_terms):
+    with pytest.raises(IntervalBroken, match="zero-exponent"):
+        canonical_term(BROKEN[0])
+    with pytest.raises(IntervalBroken, match="lost contiguity"):
+        canonical_term(BROKEN[1])
     broken = 0
-    for t in record_terms:
+    for t in record_terms + BROKEN:
         got = outcome(canonical_term, t)
         assert got == outcome(bubble_canonical, t), t
         broken += got == "IntervalBroken"
@@ -189,9 +203,16 @@ def test_the_term_key_table_is_exact_and_bounded(record_terms):
     assert 0 < info.currsize <= info.maxsize
 
 
-def test_term_key_ignores_zero_exponent_columns(record_terms):
-    aux = [t for t in record_terms if 0 in t.exponents]
-    assert aux
+def test_term_key_ignores_zero_exponent_columns():
+    # term_key is the kernel's identity, and L^0 = 1: a column of exponent 0
+    # changes no kernel, whether or not it shares a cover
+    aux = [
+        BROKEN[0],
+        Term(Pattern(3, ((2, 2), (1, 3))), (0, 2, 2), Rat(1)),
+        Term(Pattern(3, ((1, 3), (2, 3))), (1, 0, 2), Rat(1)),
+    ]
+    # the last one without its zero column, rows in the same order
+    assert term_key(aux[2]) == term_key(term([(1, 2), (2, 2)], [1, 2]))
     for t in aux:
         depth, pairs = term_key(t)
         assert depth == t.depth
