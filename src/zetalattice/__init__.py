@@ -29,7 +29,7 @@ from .errors import (
     ZeroColumn,
     ZetaLatticeError,
 )
-from .linalg import CircuitDependency, find_circuit, rank
+from .linalg import CircuitDependency, find_circuit
 from .terms import (
     MZVCombination,
     Pattern,
@@ -99,7 +99,7 @@ __all__ = [
     "NotChain", "ParkedTermsError", "ParseError", "PatternError",
     "ProgressViolation", "RankDeficient", "RowsDontShareStart",
     "RowsNotAdjacent", "TermBudgetExceeded", "ZeroColumn", "ZetaLatticeError",
-    "CircuitDependency", "find_circuit", "rank",
+    "CircuitDependency", "find_circuit",
     "MZVCombination", "Pattern", "Rat", "Term", "Word", "canonical_term",
     "comb_add",
     "combination_to_json", "converges", "direct_sum", "expand", "from_mzv",

@@ -267,11 +267,15 @@ def _merge(
     first part has two rows starting at i, and inverting it naively would
     undo the split.  So that part, made canonical, gets a fresh exponent-0
     column (_aux_column) and partial fractions pivoted there until every
-    term is back to the width of ``t``.  The fresh column stays the pivot
-    throughout: exponents are the only thing the loop changes, so the
-    circuit found once stays valid and each pass moves one exponent unit
-    onto the pivot, ending the loop after at most weight-many passes.  A
-    generic pivot choice here can invert the insertion and loop forever.
+    term is back to the width of ``t``.  A merge runs only on a term with
+    no circuit, and the split is an invertible change of variables, so the
+    columns of that part are independent and the fresh column adds the aux
+    term's only circuit: the first one find_circuit meets.  The fresh
+    column stays the pivot throughout: exponents are the only thing the
+    loop changes, so the circuit found once stays valid and each pass moves
+    one exponent unit onto the pivot, ending the loop after at most
+    weight-many passes.  A generic pivot choice here can invert the
+    insertion and loop forever.
     The loop's net outputs, in the order it makes them, are one pf_step
     record from the canonical first part, with params ``{"pair": [i, j]}``.
     """
@@ -284,7 +288,7 @@ def _merge(
 
     c1 = canonical_term(out1)
     aux_t = _aux_column(c1, i, j)
-    circuit = find_circuit(aux_t.pattern.columns(), must_contain=i - 1)
+    circuit = find_circuit(aux_t.pattern.columns())
     if circuit is None:
         raise InvalidPivot(f"no circuit through the aux column of {aux_t}")
     net: list[Term] = []

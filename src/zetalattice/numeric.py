@@ -11,23 +11,24 @@ Two kinds of checks live here, at different levels of trust:
   and depth 1 is zeta(K) outright.  Every value the summand is built from
   is a function of one row-sum form (a sum of some of those rows), so it is
   a 1D table indexed by the form's value, built once per sweep, and each
-  slab reads it through a strided view.  The summand does not depend on N, so one sweep of the largest box
-  gives the partial sums at every extrapolation cutoff as slices of the
-  same slabs.  Approximate, tolerance-based.
-* per-step checks: every recorded rewrite is re-verified on its own, either as
-  an exact rational-function identity sampled at random positive points
-  (partial fractions) or as an explicit bijection between
-  truncated lattices with exact kernel matching (harmonic splits); an emit
-  must have no outputs and its chain input's word.  Every check is linear
-  in the record's coefficients, and no param holds one, so check_record
-  proves each relation once: it keeps the last CHECKED_BOUND relations that
+  slab reads it through a strided view.  The summand does not depend on N,
+  so one sweep of the largest box gives the partial sums at every
+  extrapolation cutoff as slices of the same slabs.  Approximate,
+  tolerance-based.
+* per-step checks: every recorded rewrite is re-verified on its own, either
+  as an exact rational-function identity sampled at random positive points
+  (partial fractions) or as an explicit bijection between truncated
+  lattices with exact kernel matching (harmonic splits); an emit must have
+  no outputs and its chain input's word.  Every check is linear in the
+  record's coefficients, and no param holds one, so check_record proves
+  each relation once: it keeps the last CHECKED_BOUND relations that
   passed, each keyed exactly by the record divided by its input
   coefficient, and a rational multiple of one of them passes without a new
-  check.  Each
-  relation still meets its full check once, so the Schwartz-Zippel bound
-  per relation, (D / 2^30)^10 for a false identity of degree D, is
-  unchanged.  A rational record whose input and m outputs all have weight
-  W clears its denominators to a polynomial identity of degree D <= m * W.
+  check.  Each relation still meets its full check once, so the
+  Schwartz-Zippel bound per relation, (D / 2^30)^10 for a false identity
+  of degree D, is unchanged.  A rational record whose input and m outputs
+  all have weight W clears its denominators to a polynomial identity of
+  degree D <= m * W.
 
 The extrapolation model is value + (a + b*log N + c*log^2 N)/N fitted at
 N/8, N/4, N/2, N, which covers the full leading tail of these series
@@ -433,13 +434,15 @@ def check_reduction(
     """Compare the term's own series, at cutoff ``N``, against the claimed
     word combination, each word at eval_mzv's default cutoff.
     The tolerance must be finite and non-negative, and every coefficient
-    and value within the float range."""
+    and value within the float range.  A divergent term raises
+    DivergentSeries, as in eval_term, at any coefficient and whatever its
+    words; a divergent word of nonzero coefficient raises CheckFailed."""
     if not 0 <= tol < math.inf:
         raise ParseError(f"tolerance must be finite and non-negative, got {tol}")
+    series = eval_term(t, N)
     bad = [w for w, c in combination.items() if c != 0 and not is_admissible(w)]
     if bad:
         raise CheckFailed(f"combination contains divergent words {bad}")
-    series = eval_term(t, N)
     words_value = 0.0
     for w in sorted(combination):
         c = finite_float(combination[w], f"the coefficient of zeta{w}")

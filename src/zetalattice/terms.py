@@ -100,7 +100,9 @@ def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
     for c, mask in enumerate(pat.cover, start=1):
         if not mask:
             raise ZeroColumn(c)
-    if linalg.rank(pat.columns()) != pat.depth:
+    # independent rows: the 0/1 indicators of their intervals have no circuit
+    indicators = [[int(a <= c <= b) for c in range(1, width + 1)] for a, b in rr]
+    if linalg.find_circuit(indicators) is not None:
         raise RankDeficient(f"rows {rr} are linearly dependent")
     return pat
 
@@ -203,7 +205,9 @@ def canonical_term(t: Term) -> Term:
     for i in range(pat.depth):
         pos = [j for j, mask in enumerate(merged, start=1) if mask >> i & 1]
         if not pos or pos[-1] - pos[0] + 1 != len(pos):
-            raise IntervalBroken(f"row {i} lost contiguity during column merge")
+            raise IntervalBroken(
+                f"row {i} {pat.rows[i]} covers no contiguous run of columns"
+            )
         new_rows.append((pos[0], pos[-1]))
     return Term(Pattern(len(new_exps), tuple(new_rows)), new_exps, t.coefficient)
 

@@ -8,7 +8,7 @@ REMOVED = {
         "triangularize", "staircase_step", "duplicate_start_pair", "merge_step"
     ),
     "moves": ("square_reduce", "insert_aux_column", "aux_circuit"),
-    "linalg": ("kernel_basis",),
+    "linalg": ("kernel_basis", "rank"),
     "numeric": ("verify_trace",),
     "terms": (
         "apply_derivative", "comb_scale", "word_weight", "is_staircase",

@@ -55,9 +55,11 @@ def test_a_divergent_term_of_coefficient_zero_reduces_as_divergent(capsys):
     assert cli.main(["reduce", zero]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mzv"] == [] and out["input_convergent"] is False
-    # check refuses the same term as divergent
-    assert cli.main(["check", zero]) == 2
-    assert json.loads(capsys.readouterr().err)["kind"] == "DivergentSeries"
+    # check refuses the same term as divergent, at any coefficient
+    one = '{"rows": [[1,1]], "exponents": [1]}'
+    for divergent in (zero, one):
+        assert cli.main(["check", divergent]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "DivergentSeries"
 
 
 def test_an_oversized_integral_exits_2(capsys):

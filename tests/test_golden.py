@@ -12,15 +12,14 @@ digest.
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
 
 from zetalattice.corpus import random_corpus
 from zetalattice.engine import reduce_to_mzv
-from zetalattice.errors import ParkedTermsError, ZetaLatticeError
-from zetalattice.terms import combination_to_json, converges, term
+from zetalattice.errors import ParkedTermsError
+from zetalattice.terms import combination_to_json
 
 CORPUS200_DIGEST = "40326a40a52e46bf106edf35b7f1b2fd0b4239bb0f3742db3aa7eb0a2404d35e"
 DIVERGENT_SMALL_DIGEST = (
@@ -47,30 +46,14 @@ def corpus_digests(terms) -> tuple[str, str]:
     return words.hexdigest(), full.hexdigest()
 
 
-def small_terms():
-    """Every valid term of width <= 4 and depth <= 3 with distinct rows and
-    exponents in {1, 2}, by width, then depth, then rows, then exponents."""
-    for width in range(1, 5):
-        intervals = [(a, b) for a in range(1, width + 1) for b in range(a, width + 1)]
-        for depth in range(1, 4):
-            for rows in itertools.combinations(intervals, depth):
-                for exps in itertools.product((1, 2), repeat=width):
-                    try:
-                        yield term(rows, exps)
-                    except ZetaLatticeError:
-                        pass
-
-
 @pytest.fixture(scope="module")
 def corpus200_digests(corpus200):
     return corpus_digests(corpus200)
 
 
 @pytest.fixture(scope="module")
-def divergent_small_digests():
-    divergent = [t for t in small_terms() if not converges(t)]
-    assert len(divergent) == 654
-    return corpus_digests(divergent)
+def divergent_small_digests(divergent_small):
+    return corpus_digests(divergent_small)
 
 
 def test_corpus200_combinations_are_pinned(corpus200_digests):

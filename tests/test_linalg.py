@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from zetalattice.linalg import CircuitDependency, find_circuit, rank
-
-
-def test_rank_counts_independent_columns():
-    assert rank([(1, 0), (0, 1)]) == 2
-    assert rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert rank([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
-    assert rank([]) == 0
+from zetalattice import engine
+from zetalattice.corpus import random_corpus
+from zetalattice.errors import ParkedTermsError, RankDeficient, ZeroColumn
+from zetalattice.linalg import CircuitDependency, find_circuit
+from zetalattice.terms import Pattern, validate_pattern
 
 
 def test_independent_columns_have_no_circuit():
@@ -50,17 +47,6 @@ def test_circuit_coefficients_are_exact_fractions():
     assert combo[0] == 1
     assert combo[1] == Fraction(2, 3)
     assert combo[2] == -2
-
-
-def test_circuit_through_a_required_column():
-    cols = [(1, 0), (0, 1), (1, 1), (5, 0)]
-    cir = find_circuit(cols, must_contain=3)
-    assert cir is not None and 3 in cir.members
-    for r in range(2):
-        assert (
-            sum(cir.coefficient_of(m) * cols[m][r] for m in cir.members) == 0
-        )
-    assert find_circuit([(1, 0), (0, 1)], must_contain=1) is None
 
 
 def test_missing_member_raises():
@@ -131,16 +117,62 @@ def random_columns(rng):
     return cols
 
 
-def test_integer_elimination_matches_fraction_elimination():
-    def pair(circuit):
-        return circuit and (circuit.members, circuit.coefficients)
+def pair(circuit):
+    return circuit and (circuit.members, circuit.coefficients)
 
+
+def test_integer_elimination_matches_fraction_elimination():
     rng = random.Random(20261018)
     for _ in range(500):
         cols = random_columns(rng)
         want, want_rank = reference_circuit(cols)
         assert pair(find_circuit(cols)) == want, cols
-        assert rank(cols) == want_rank, cols
-        j = rng.randrange(len(cols))
-        want, _ = reference_circuit(cols, must_contain=j)
-        assert pair(find_circuit(cols, must_contain=j)) == want, cols
+        assert (find_circuit(cols) is None) == (want_rank == len(cols)), cols
+
+
+def test_the_first_circuit_of_an_aux_term_runs_through_the_aux_column(
+    monkeypatch, corpus200, divergent_small
+):
+    """The merge pivots on the aux column i - 1 of the aux term it builds;
+    the plain scan finds the circuit through that column on every merge."""
+    aux_terms = set()
+    aux_column = engine._aux_column
+
+    def recorded(t, i, j):
+        aux_t = aux_column(t, i, j)
+        aux_terms.add((aux_t.pattern, i))
+        return aux_t
+
+    monkeypatch.setattr(engine, "_aux_column", recorded)
+    engine._expansion.cache_clear()  # expand every shape, so every merge runs
+    deep4 = random_corpus(seed=11, count=60, max_depth=4, max_weight=7)
+    for t in [*corpus200, *deep4, *divergent_small]:
+        try:
+            engine.reduce_to_mzv(t)
+        except ParkedTermsError:
+            pass
+    assert len(aux_terms) > 30  # distinct aux patterns
+    for pattern, i in aux_terms:
+        cols = pattern.columns()
+        want, _ = reference_circuit(cols, must_contain=i - 1)
+        assert pair(find_circuit(cols)) == want, (pattern, i)
+
+
+def test_validate_pattern_refuses_exactly_the_rank_deficient_patterns():
+    rng = random.Random(20261020)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        width, depth = rng.randint(1, 5), rng.randint(1, 5)
+        points = range(1, width + 1)
+        rows = [tuple(sorted(rng.choices(points, k=2))) for _ in range(depth)]
+        _, rank = reference_circuit(Pattern(width, tuple(rows)).columns())
+        try:
+            validate_pattern(rows, width)
+            refused = False
+        except ZeroColumn:
+            continue
+        except RankDeficient:
+            refused = True
+        assert refused == (rank < depth), rows
+        seen[refused] += 1
+    assert min(seen.values()) > 100, seen
