@@ -34,11 +34,17 @@ stage (a) admits a split only when it does.  Emitting is always safe: all
 chain shapes with the same word have identical box sums (gap coordinates),
 so cancelled words cancel their truncation defects too.
 
-The pool is two dicts from term_key to canonical term, a key in at most
-one: ``pending``, popped smallest key first, and ``parked``, where a
-convergent input's term with no guarded split waits for a sibling branch to
-cancel it.  A source term or move output merges into the term held under
-its key in either, and a nonzero sum goes to pending.  If any parked term
+The pool is two dicts from term_key to the canonical term first held under
+that key and an int m, a key in at most one: ``pending``, popped smallest
+key first, and ``parked``, where a convergent input's term with no guarded
+split waits for a sibling branch to cancel it.  The term's coefficient is
+m / D, where D is the lcm of the denominators of the source coefficients
+(1 for an integer source), and the pool counts in these ints alone; the
+held term supplies the shape and keeps its presentation.  A source term or
+move output merges into the entry held under its key in either dict, and a
+nonzero sum goes to pending.  Pending keys wait on a heap, one entry each
+while they stay pending; a key that cancels leaves its entry behind, and a
+pop skips entries whose key is no longer pending.  If any parked term
 survives to the end the reduction aborts rather than emit an unsound
 answer.  A divergent input's term with no split at all raises
 ProgressViolation.
@@ -58,29 +64,40 @@ only from emits, and reduce_to_mzv never calls itself.
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
 alone (pattern and exponents), and every output coefficient is the input
-coefficient times a rational fixed by the shape.  An emit's params hold its
-word only: the word's coefficient is the emitted term's own.
+coefficient times a number fixed by the shape.  That number is an integer.
+An interval matrix is totally unimodular, so every circuit of its columns
+has coefficients +-1 and a partial-fraction step's outputs carry +-1; so
+do a harmonic split's parts, a compensated split's boundary term (zeta(2)
+times a kernel) among them.  An emit's params hold its word only: the
+word's coefficient is the emitted term's own.
 So a shape's expansion at coefficient 1 is a pure function of the shape
 (pattern, exponents, and whether the reduction is formal: stage (c) exists
 only then): the trace records, the canonical outputs with their term_key,
 the emitted word and the passes of a merge's inner loop, or None when the
-term parks.  _expansion memoises it for the whole process, the last
-EXPANSION_BOUND shapes kept, with one interned copy of each term, pattern,
-exponent tuple, coefficient and term key it stores.  Every pop, in this
-call or any later one, applies its shape's expansion times its own
-coefficient lam through _applied, as fresh records that share nothing
-mutable with the memo, so the trace, the combination and every counter are
-those of expanding the shape afresh.  With ``verify=True`` every applied
-record still goes to numeric.check_record; an applied record is an exact
-rational multiple of the stored one, and check_record proves each such
-relation once per process.
+term parks.  Its coefficients are kept as ints, and filling the memo
+raises CheckFailed, naming the shape, if one is not an integer.  _expansion
+memoises it for the whole process, the last EXPANSION_BOUND shapes kept,
+with one interned copy of each term, pattern, exponent tuple, coefficient
+and term key it stores.  Every pop, in this call or any later one, applies
+its shape's expansion times its own m / D through _applied: the pool adds
+m times each output's int, and the records are fresh, share nothing
+mutable with the memo and hold the Fraction m * n / D for an int n of the
+memo, or the memo's own terms when m / D is 1.  So the trace, the
+combination and every counter are those of expanding the shape afresh.
+The combination is summed in ints and divided by D once, at the end.
+With ``verify=True`` every applied record still goes to
+numeric.check_record; an applied record is an exact rational multiple of
+the stored one, and check_record proves each such relation once per
+process.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -315,13 +332,15 @@ def _source_terms(source: Union[Term, Iterable[Term]]) -> Iterable[Term]:
 @dataclass(slots=True)
 class _Expansion:
     """What the driver does with one popped shape at coefficient 1: the
-    trace records (see _stored), the canonical outputs and their term_keys,
-    the emitted word and the budget ticks of a merge's inner loop.  Nothing
-    in it is mutable, and its terms and keys are interned."""
+    trace records (see _stored), the canonical outputs with their term_keys
+    and their coefficients as ints, the emitted word and the budget ticks of
+    a merge's inner loop.  Nothing in it is mutable, and its terms and keys
+    are interned."""
 
     records: tuple
     outputs: tuple
     keys: tuple
+    ints: tuple
     word: Optional[Word]
     ticks: int
 
@@ -333,25 +352,38 @@ def _shared(t: Term) -> Term:
     return interned(Term(*parts))
 
 
-def _stored(rec: TraceRecord) -> tuple:
-    """``rec`` as one flat tuple: the move, the params as (name, value)
-    pairs with lists made tuples (the engine's params hold ints, strings
-    and flat lists of them), the input, then the outputs; terms and params
-    interned."""
+def _integer(c: Rat, shape: Term) -> int:
+    """``c``, a coefficient of the expansion of ``shape`` at coefficient 1,
+    as an int; CheckFailed naming the shape when it is no integer."""
+    if c.denominator != 1:
+        raise CheckFailed(f"the expansion of {shape} has the coefficient {c}")
+    return c.numerator
+
+
+def _stored(rec: TraceRecord, shape: Term) -> tuple:
+    """``rec``, a record of the expansion of ``shape``, as one flat tuple:
+    the move, the params as (name, value) pairs with lists made tuples (the
+    engine's params hold ints, strings and flat lists of them), the
+    coefficients of the input and the outputs as ints, then the input and
+    the outputs; terms and params interned."""
     params = tuple(
         (name, tuple(v) if type(v) is list else v) for name, v in rec.params.items()
     )
-    return (rec.move, interned(params), *map(_shared, (rec.input, *rec.outputs)))
+    terms = (rec.input, *rec.outputs)
+    ints = tuple(_integer(u.coefficient, shape) for u in terms)
+    return (rec.move, interned(params), ints, *map(_shared, terms))
 
 
-def _applied(stored: tuple, lam: Rat) -> TraceRecord:
-    """A new TraceRecord from a stored one times ``lam``: the input and the
-    outputs scaled (the params depend on the shape alone), sharing no
-    mutable object with the memo."""
-    move, params, *terms = stored
+def _applied(stored: tuple, m: int, d: int) -> TraceRecord:
+    """A new TraceRecord from a stored one times m / d: each term's
+    coefficient is m * n / d for its int n (the params depend on the shape
+    alone), and no mutable object is shared with the memo."""
+    move, params, ints, *terms = stored
     params = {name: list(v) if type(v) is tuple else v for name, v in params}
-    if lam != 1:
-        terms = [Term(u.pattern, u.exponents, u.coefficient * lam) for u in terms]
+    if m != d:
+        terms = [
+            Term(u.pattern, u.exponents, Rat(m * n, d)) for u, n in zip(terms, ints)
+        ]
     return TraceRecord(move, terms[0], tuple(terms[1:]), params)
 
 
@@ -366,10 +398,12 @@ def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
     return keyed
 
 
-# Measured with tracemalloc: filled to the bound from the 2,877 shapes of
-# random_corpus(seed=11, count=400, max_depth=4, max_weight=7), the table
-# and the values interned for it held 3.3 MB.  One deep4 pass stores 850
-# shapes in 1.0 MB, one verified corpus200 pass 442 in 0.4 MB.
+# Measured with tracemalloc, as the memory that clearing the table and the
+# interned values frees after a cold pass: filled to the bound from the
+# 3,318 shapes that random_corpus(seed=11, count=400, max_depth=4,
+# max_weight=7) expands, the table held 2.5 MB.  One deep4 pass stores 850
+# shapes in 1.0 MB, one verified corpus200 pass 442 in 0.45 MB.  The ints
+# kept next to the terms cost about a seventh of that.
 EXPANSION_BOUND = 2048  # shapes kept
 
 
@@ -414,9 +448,10 @@ def _expansion(
             records, outs, ticks = _merge(t, a, b, boundary)
             outputs = _keyed(outs)
     return _Expansion(
-        tuple(map(_stored, records)),
+        tuple(_stored(rec, t) for rec in records),
         tuple(_shared(ct) for ct, _ in outputs),
         tuple(key for _, key in outputs),  # term_key interns its values
+        tuple(_integer(ct.coefficient, t) for ct, _ in outputs),
         None if word is None else interned(word),
         ticks,
     )
@@ -437,7 +472,8 @@ def reduce_to_mzv(
     weight.  With ``verify=True`` every recorded move goes to
     numeric.check_record as it happens, which runs the exact per-step checks
     once per relation: a record that is a rational multiple of one already
-    proven passes without a new check."""
+    proven passes without a new check.  The combination's values are
+    interned Fractions (see terms.interned), one object per value."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
     source = list(_source_terms(source))  # may be a one-shot iterable
@@ -446,19 +482,27 @@ def reduce_to_mzv(
     if len(weights) > 1:
         raise ParseError(f"source terms of mixed weights {sorted(weights)}")
 
-    # the pool of the module docstring; add merges a term into it
+    # the pool of the module docstring, in multiples of 1/d; add merges a
+    # term into it
+    d = math.lcm(*(Rat(t.coefficient).denominator for t in source))
     pending: dict = {}
     parked: dict = {}
+    queue: list = []  # a heap of keys: every pending one, maybe stale ones
 
-    def add(ct: Term, key) -> None:
-        held = parked.pop(key, None) or pending.pop(key, None)
+    def add(ct: Term, key, m: int) -> None:
+        held = pending.pop(key, None)
+        queued = held is not None
+        if not queued:
+            held = parked.pop(key, None)
         if held is not None:
-            ct = held.with_coefficient(held.coefficient + ct.coefficient)
-        if ct.coefficient != 0:
-            pending[key] = ct
+            ct, m = held[0], held[1] + m
+        if m:
+            pending[key] = ct, m
+            if not queued:
+                heapq.heappush(queue, key)
 
     for ct, key in _keyed(source):
-        add(ct, key)
+        add(ct, key, int(Rat(ct.coefficient) * d))
     trace = ReductionTrace()
     rng = random.Random(seed)  # draws the points of verify's rational checks
     used = 0  # the budget spent: one per pop, one per pass of a merge's loop
@@ -471,41 +515,41 @@ def reduce_to_mzv(
                 f"reduction exceeded the term budget of {max_terms}"
             )
 
-    combo: MZVCombination = {}
+    combo: dict = {}  # word -> multiple of 1/d
     while pending:
+        key = heapq.heappop(queue)
+        if key not in pending:
+            continue  # its term cancelled after it was queued
         trace.max_live = max(trace.max_live, len(pending) + len(parked))
-        key = min(pending)
-        t = pending.pop(key)
+        t, m = pending.pop(key)
         trace.terms_processed += 1
         charge(1)
         assert t.weight in weights
 
         exp = _expansion(t.pattern, t.exponents, not input_convergent)
         if exp is None:
-            parked[key] = t
+            parked[key] = t, m
             continue
         # Every move is linear in the coefficient, so a visit is the
-        # expansion at coefficient 1 times lam.
-        lam = t.coefficient
+        # expansion at coefficient 1 times m / d.
         charge(exp.ticks)
         for stored in exp.records:
-            rec = _applied(stored, lam)
+            rec = _applied(stored, m, d)
             trace.records.append(rec)
             if verify:
                 numeric.check_record(rec, rng=rng)
-        for ct, out_key in zip(exp.outputs, exp.keys):
-            if lam != 1:
-                ct = Term(ct.pattern, ct.exponents, ct.coefficient * lam)
-            add(ct, out_key)
+        for ct, out_key, n in zip(exp.outputs, exp.keys, exp.ints):
+            add(ct, out_key, m * n)
         if exp.word is not None:
-            comb_add(combo, exp.word, lam)
+            comb_add(combo, exp.word, m)
 
     if parked:
-        shapes = "; ".join(str(u) for u in list(parked.values())[:3])
+        held = [t.with_coefficient(Rat(m, d)) for t, m in parked.values()]
+        shapes = "; ".join(str(u) for u in held[:3])
         raise ParkedTermsError(
             f"{len(parked)} term(s) with non-vanishing split boundaries were "
             f"never cancelled: {shapes}",
-            [term_to_json(u) for u in parked.values()],
+            [term_to_json(u) for u in held],
         )
 
     for word in combo:
@@ -516,7 +560,8 @@ def reduce_to_mzv(
         raise CheckFailed(
             f"convergent input left divergent words {divergent_words}"
         )
-    return ReductionResult(combo, trace, input_convergent, divergent_cancelled)
+    combination = {w: interned(Rat(c, d)) for w, c in combo.items()}
+    return ReductionResult(combination, trace, input_convergent, divergent_cancelled)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +578,11 @@ def trace_replay(
     per term.  An emit adds its input's coefficient to its word,
     which numeric.emit_word checks against the input's chain, read once per
     shape: a word the chain does not read, or none, raises CheckFailed.
-    Returns the rebuilt word combination once the ledger is empty; otherwise
-    the CheckFailed names up to three leftover keys with their coefficients."""
+    The ledger adds Fractions, not the engine's ints: replay checks the
+    trace, so it accepts any rational one and assumes no integrality.
+    Returns the rebuilt word combination, its values interned Fractions as
+    reduce_to_mzv's are, once the ledger is empty; otherwise the
+    CheckFailed names up to three leftover keys with their coefficients."""
     state: dict = {}
     for t in _source_terms(source):
         comb_add(state, term_key(t), t.coefficient)
@@ -549,4 +597,4 @@ def trace_replay(
     if state:
         left = "; ".join(f"{c} * {k}" for k, c in itertools.islice(state.items(), 3))
         raise CheckFailed(f"replay left {len(state)} unconsumed terms: {left}")
-    return combo
+    return {w: interned(Rat(c)) for w, c in combo.items()}

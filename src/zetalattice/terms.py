@@ -260,7 +260,9 @@ def interned(x):
     numeric's checked relations, the term_key table) keep one object per
     distinct value instead of one per use.  Only for immutable values whose
     equal copies are interchangeable: tuples, Patterns, Terms and Fractions,
-    never a plain number, which could stand in for an equal Fraction."""
+    never a plain number, which could stand in for an equal Fraction (1 and
+    Fraction(1) are equal and hash alike).  So the engine, which counts in
+    ints, makes each int a Fraction before it interns it."""
     if len(_interned) >= INTERN_BOUND:
         _interned.clear()
     return _interned.setdefault(x, x)

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction as Rat
 
 import pytest
@@ -556,3 +557,129 @@ def test_parked_set_is_pinned():
         {"rows": [[1, 4], [2, 3], [3, 3], [3, 4]], "exponents": [3, 1, 1, 1],
          "coefficient": "-1"},
     ]
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients
+
+
+def test_every_expansion_has_integer_coefficients(
+    corpus200, divergent_small, monkeypatch
+):
+    # an interval matrix is totally unimodular: at coefficient 1 every move
+    # of every shape these inputs expand has integer coefficients
+    expansions = {}
+    expand = engine._expansion
+
+    def recorded(pattern, exponents, formal):
+        expansions[pattern, exponents, formal] = expand(pattern, exponents, formal)
+        return expansions[pattern, exponents, formal]
+
+    monkeypatch.setattr(engine, "_expansion", recorded)
+    deep4 = random_corpus(seed=11, count=60, max_depth=4, max_weight=7)
+    for t in [*corpus200, *deep4, *divergent_small]:
+        try:
+            reduce_to_mzv(t)
+        except ParkedTermsError:
+            pass
+    assert len(expansions) > 1500
+    for exp in filter(None, expansions.values()):
+        for _, _, ints, *terms_ in exp.records:
+            assert [u.coefficient for u in terms_] == list(ints)
+            assert all(u.coefficient.denominator == 1 for u in terms_)
+        for ct, n in zip(exp.outputs, exp.ints):
+            assert ct.coefficient.denominator == 1 and ct.coefficient == n
+
+
+def test_a_non_integer_move_is_a_failed_check_naming_the_shape(monkeypatch):
+    pf_step = engine.pf_step
+
+    def halved(*args):
+        return [o.scaled(Rat(1, 2)) for o in pf_step(*args)]
+
+    monkeypatch.setattr(engine, "pf_step", halved)
+    engine._expansion.cache_clear()
+    try:
+        shape = re.escape(str(canonical_term(TORNHEIM)))
+        want = f"expansion of {shape} has the coefficient -?1/2"
+        with pytest.raises(CheckFailed, match=want):
+            reduce_to_mzv(TORNHEIM)
+    finally:
+        engine._expansion.cache_clear()
+
+
+def scaled_record(rec: TraceRecord, c: Rat) -> TraceRecord:
+    return TraceRecord(
+        rec.move,
+        rec.input.scaled(c),
+        tuple(o.scaled(c) for o in rec.outputs),
+        rec.params,
+    )
+
+
+@pytest.mark.parametrize("c", [Rat(-7, 3), Rat(1, 2)], ids=str)
+@pytest.mark.parametrize(
+    "t", [TORNHEIM, REVISITING, LOOPING], ids=["tornheim", "revisiting", "looping"]
+)
+def test_a_scaled_source_scales_every_record(t, c):
+    base = reduce_to_mzv(t)
+    res = reduce_to_mzv(t.scaled(c))
+    assert res.combination == {w: c * v for w, v in base.combination.items()}
+    assert res.trace.records == [scaled_record(r, c) for r in base.trace.records]
+    assert res.trace.terms_processed == base.trace.terms_processed
+    assert res.trace.max_live == base.trace.max_live
+    assert trace_replay(t.scaled(c), res.trace) == res.combination
+
+
+def test_a_scaled_source_parks_scaled_terms():
+    with pytest.raises(ParkedTermsError) as base:
+        reduce_to_mzv(PARKING)
+    with pytest.raises(ParkedTermsError) as scaled:
+        reduce_to_mzv(PARKING.scaled(Rat(-7, 3)))
+    want = [term_to_json(parse_term(o).scaled(Rat(-7, 3))) for o in base.value.terms]
+    assert scaled.value.terms == want
+    assert "-7/3 * rows" in str(scaled.value)
+
+
+def test_a_source_of_several_terms_is_reduced_linearly():
+    half, third = Rat(1, 2), Rat(-1, 3)
+    source = [REVISITING.scaled(half), LOOPING.scaled(third)]
+    res = reduce_to_mzv(source)
+    want = {}
+    for t, c in ((REVISITING, half), (LOOPING, third)):
+        for w, v in reduce_to_mzv(t).combination.items():
+            terms.comb_add(want, w, c * v)
+    assert res.combination == want
+    assert trace_replay(source, res.trace) == want
+
+
+def test_a_source_that_cancels_reduces_to_nothing():
+    for t in (TORNHEIM, REVISITING.scaled(Rat(1, 2))):
+        res = reduce_to_mzv([t, t.scaled(-1)])
+        assert res.combination == {} and res.trace.records == []
+        assert res.trace.terms_processed == 0
+        assert trace_replay([t, t.scaled(-1)], res.trace) == {}
+
+
+def test_a_cancelled_source_term_leaves_a_stale_queue_entry():
+    # whichever of the two keys is smaller, one of the orders pops the
+    # cancelled key's entry before the live one and must skip it
+    for a, b in ((REVISITING, LOOPING), (LOOPING, REVISITING)):
+        alone = reduce_to_mzv(b)
+        res = reduce_to_mzv([a, b, a.scaled(-1)])
+        assert res.combination == alone.combination
+        assert res.trace.to_json_lines() == alone.trace.to_json_lines()
+        assert res.trace.terms_processed == alone.trace.terms_processed
+
+
+def test_combination_values_are_shared_fractions(monkeypatch):
+    monkeypatch.setattr(terms, "_interned", {})
+    sources = (TORNHEIM, REVISITING, LOOPING)
+    results = [reduce_to_mzv(t) for t in sources]
+    combinations = [res.combination for res in results]
+    combinations += [trace_replay(t, res.trace) for t, res in zip(sources, results)]
+    values = [v for comb in combinations for v in comb.values()]
+    assert all(type(v) is Rat for v in values)
+    # one object per value, across reductions and replays
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert results[0].combination[(3,)] is results[1].combination[(3, 2)]
