@@ -57,13 +57,7 @@ from .terms import (
     to_mzv,
     validate_pattern,
 )
-from .moves import (
-    TraceRecord,
-    forward_hp,
-    inverse_hp,
-    pf_step,
-    split_defect_vanishes,
-)
+from .moves import TraceRecord, forward_hp, inverse_hp, pf_step
 from .engine import (
     ReductionResult,
     ReductionTrace,
@@ -107,7 +101,6 @@ __all__ = [
     "reflect", "render_combination", "stuffle_words", "term", "term_key",
     "term_to_json", "to_mzv", "validate_pattern",
     "TraceRecord", "forward_hp", "inverse_hp", "pf_step",
-    "split_defect_vanishes",
     "ReductionResult", "ReductionTrace", "first_mismatch", "reduce_to_mzv",
     "trace_replay",
     "CheckReport", "EvalReport", "check_record", "check_reduction",

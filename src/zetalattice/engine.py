@@ -10,10 +10,11 @@ Every popped term goes through a fixed priority of moves:
 4. otherwise the first harmonic split that guarded_moves yields.  Its
    candidates are the staircase repair of a square triangular term (merge
    the rows of its first mismatch, column-major), inverse splits of rows
-   sharing a start, and merges of adjacent rows, in three stages:
+   sharing a start, and merges of adjacent rows.  moves.split_boundary
+   classifies each once, the staircase repair leading, and the splits come
+   in three stages:
 
-   a. every split whose truncation boundary provably vanishes (see below),
-      the staircase repair leading;
+   a. every split whose truncation boundary provably vanishes (see below);
    b. every split whose boundary tends to an exact *constant* -- the pair
       carries exponent mass exactly two and the leftover kernel on the
       untouched rows and columns converges.  It is applied anyway, and the
@@ -24,15 +25,19 @@ Every popped term goes through a fixed priority of moves:
       bookkeeping): the inverse splits and the staircase repair, with the
       guard waived.
 
+   The repair may lead (b) too: no candidate ahead of its twin has pair
+   mass 2, which a constant needs (see guarded_moves).
+
 Partial fractions, a merge's loop included, are exact at every lattice cutoff.
 A harmonic split is exact on the full lattice but misclassifies the corner
 n_a + n_b > B of the box [1, B]^d, so splitting a *divergent* intermediate
 can shift a finite amount of value out of the books even though every
-emitted divergent word cancels in the end.  moves.split_defect_vanishes
-decides, by integer scale counting, whether that corner sum tends to zero;
-stage (a) admits a split only when it does.  Emitting is always safe: all
-chain shapes with the same word have identical box sums (gap coordinates),
-so cancelled words cancel their truncation defects too.
+emitted divergent word cancels in the end.  moves.split_boundary decides,
+by integer scale counting, whether that corner sum tends to zero or to a
+constant; stage (a) admits a split only when it tends to zero.  Emitting
+is always safe: all chain shapes with the same word have identical box
+sums (gap coordinates), so cancelled words cancel their truncation defects
+too.
 
 The pool is two dicts from term_key to the canonical term first held under
 that key and an int m, a key in at most one: ``pending``, popped smallest
@@ -113,14 +118,7 @@ from .errors import (
     CheckFailed,
 )
 from .linalg import find_circuit
-from .moves import (
-    TraceRecord,
-    boundary_term,
-    forward_hp,
-    inverse_hp,
-    pf_step,
-    split_defect_vanishes,
-)
+from .moves import TraceRecord, forward_hp, inverse_hp, pf_step, split_boundary
 from .terms import (
     MZVCombination,
     Pattern,
@@ -220,27 +218,32 @@ def first_mismatch(t: Term) -> Optional[Place]:
 
 def guarded_moves(t: Term, formal: bool):
     """Every split the boundary guard admits on ``t``, lazily and in priority
-    order, as (a, b, inverse_hp outputs or None for a merge, boundary_term of
-    the forward split or None): first every split whose boundary vanishes,
-    led by the staircase repair (a triangular term has distinct starts, so it
-    never has inverse splits to overtake); then every split whose boundary
-    tends to zeta(2) times the convergent leftover kernel; then, only when
-    ``formal``, the inverse splits and the staircase repair with the guard
-    waived."""
+    order, as (a, b, inverse_hp outputs or None for a merge, what the
+    split's boundary adds: () or its boundary term, see
+    moves.split_boundary).  Each of the staircase repair and the candidates
+    is classified once, in that order, and the splits whose boundary
+    vanishes come first, then those whose boundary tends to a constant;
+    then, only when ``formal``, the inverse splits and the staircase repair
+    with the guard waived.  The staircase repair (i, j) may lead both: a
+    square triangular term has distinct starts, so it has no inverse
+    splits, and a merge ordered before its twin starts at a row a < i,
+    which covers columns a, i and j, so the pair's mass is at least 3 and
+    its boundary never a constant."""
     place = first_mismatch(t)
     leads = [] if place is None else [(place[0] - 1, place[1] - 1, t, None)]
     candidates = list(_split_candidates(t))
+    constant = []
     for a, b, src, outs in leads + candidates:
-        if split_defect_vanishes(src, a, b):
-            yield a, b, outs, None
-    for a, b, src, outs in candidates:
-        boundary = boundary_term(src, a, b)
-        if boundary is not None:
+        boundary = split_boundary(src, a, b)
+        if boundary == ():
             yield a, b, outs, boundary
+        elif boundary:
+            constant.append((a, b, outs, boundary))
+    yield from constant
     if formal:
         inverse = [c for c in candidates if c[3] is not None]
         for a, b, _, outs in inverse + leads:
-            yield a, b, outs, None
+            yield a, b, outs, ()
 
 
 # ---------------------------------------------------------------------------
@@ -274,33 +277,31 @@ def _aux_column(t: Term, i: int, j: int) -> Term:
 
 
 def _merge(
-    t: Term, a: int, b: int, boundary: Optional[Term]
+    t: Term, a: int, b: int, boundary: tuple[Term, ...]
 ) -> tuple[list[TraceRecord], list[Term], int]:
     """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k], as its
     two records, its raw outputs (unmerged) and the passes of its loop.
 
-    The forward harmonic split comes first; a compensated merge books its
-    ``boundary`` (see boundary_term) as the split's fourth output.  Its
-    first part has two rows starting at i, and inverting it naively would
-    undo the split.  So that part, made canonical, gets a fresh exponent-0
-    column (_aux_column) and partial fractions pivoted there until every
-    term is back to the width of ``t``.  A merge runs only on a term with
-    no circuit, and the split is an invertible change of variables, so the
-    columns of that part are independent and the fresh column adds the aux
-    term's only circuit: the first one find_circuit meets.  The fresh
-    column stays the pivot throughout: exponents are the only thing the
-    loop changes, so the circuit found once stays valid and each pass moves
-    one exponent unit onto the pivot, ending the loop after at most
-    weight-many passes.  A generic pivot choice here can invert the
-    insertion and loop forever.
+    The forward harmonic split comes first, with its ``boundary`` (see
+    moves.split_boundary) appended to its outputs.  Its first part has two
+    rows starting at i, and inverting it naively would undo the split.  So
+    that part, made canonical, gets a fresh exponent-0 column (_aux_column)
+    and partial fractions pivoted there until every term is back to the
+    width of ``t``.  A merge runs only on a term with no circuit, and the
+    split is an invertible change of variables, so the columns of that part
+    are independent and the fresh column adds the aux term's only circuit:
+    the first one find_circuit meets.  The fresh column stays the pivot
+    throughout: exponents are the only thing the loop changes, so the
+    circuit found once stays valid and each pass moves one exponent unit
+    onto the pivot, ending the loop after at most weight-many passes.  A
+    generic pivot choice here can invert the insertion and loop forever.
     The loop's net outputs, in the order it makes them, are one pf_step
     record from the canonical first part, with params ``{"pair": [i, j]}``.
     """
     i = t.pattern.rows[a][0]
     j = t.pattern.rows[b][0]
     out1, *rest = forward_hp(t, a, b)
-    if boundary is not None:
-        rest.append(boundary)
+    rest += boundary
     split = TraceRecord("forward_hp", t, (out1, *rest), {"a": a, "b": b})
 
     c1 = canonical_term(out1)
@@ -438,15 +439,13 @@ def _expansion(
             return None
         a, b, outs, boundary = move
         if outs is not None:
-            if boundary is not None:
-                # t is the first output of the forward split of outs[0], whose
-                # boundary therefore enters t with the opposite sign
-                outs = (*outs, boundary.scaled(-1))
+            # t is the first output of the forward split of outs[0], whose
+            # boundary therefore enters t with the opposite sign
+            outs = (*outs, *(u.scaled(-1) for u in boundary))
             records.append(TraceRecord("inverse_hp", t, outs, {"a": a, "b": b}))
-            outputs = _keyed(outs)
         else:
             records, outs, ticks = _merge(t, a, b, boundary)
-            outputs = _keyed(outs)
+        outputs = _keyed(outs)
     return _Expansion(
         tuple(_stored(rec, t) for rec in records),
         tuple(_shared(ct) for ct, _ in outputs),

@@ -16,10 +16,12 @@ Two families of moves, each an exact identity of kernels or of lattice sums:
   {[i,k],[i,j]}, {[i,k],[j+1,k]}, {[i,k]} with exponents unchanged.
   ``inverse_hp`` solves the same identity for its first right-hand term.
 
-A harmonic split is exact on the full lattice but not inside a box cutoff:
-``split_defect_vanishes`` decides whether its truncation boundary vanishes,
-and ``boundary_term`` gives the constant it tends to otherwise, when there
-is one.
+A harmonic split is exact on the full lattice but not inside a box cutoff.
+``split_boundary`` reads the row-subset masses once and says what its
+truncation boundary adds to the split: nothing when it vanishes (the
+engine's stage (a)), the constant it tends to as one term (stage (b)), or
+neither, and then the guard bars the split (only a formal reduction takes
+it, in stage (c)).
 
 Moves return *raw* outputs: the row list order of the input is preserved
 (position a holds the merged row, position b the difference row), so trace
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
+    CheckFailed,
     ExponentUnderflow,
     IntervalBroken,
     InvalidPivot,
@@ -178,92 +181,38 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
     )
 
 
-def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], Optional[Term]]:
+def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], tuple[Term, ...]]:
     """A harmonic-split record as (the term split forward, its three
-    forward_hp outputs, its boundary term or None).  Outputs 1-3 of a record
-    are the split; a compensated split books the constant that its
-    truncation boundary tends to as a fourth output (see boundary_term).  A
-    record books its input as the sum of its outputs, so an inverse_hp
-    record t = o1 + o2 + o3 (+ o4) is the forward split o1 = t - o2 - o3
-    (- o4)."""
-    outs = list(rec.outputs)
-    boundary = outs.pop() if len(outs) > 3 else None
+    forward_hp outputs, what its boundary adds: () or the boundary term).
+    Outputs 1-3 of a record are the split; a compensated split books the
+    constant that its truncation boundary tends to as a fourth output (see
+    split_boundary).  A record books its input as the sum of its outputs,
+    so an inverse_hp record t = o1 + o2 + o3 (+ o4) is the forward split
+    o1 = t - o2 - o3 (- o4).  ValueError for a record of another move,
+    CheckFailed for one with other than 3 or 4 outputs."""
+    if rec.move not in ("forward_hp", "inverse_hp"):
+        raise ValueError(f"no lattice check for move {rec.move!r}")
+    if len(rec.outputs) not in (3, 4):
+        raise CheckFailed(
+            f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, "
+            "expected 3 or 4"
+        )
+    o1, *rest = rec.outputs
     if rec.move == "forward_hp":
-        return rec.input, outs, boundary
-    o1, *rest = outs
-    if boundary is not None:
-        boundary = boundary.scaled(-1)
-    return o1, [rec.input, *(o.scaled(-1) for o in rest)], boundary
+        return rec.input, [o1, *rest[:2]], tuple(rest[2:])
+    rest = [o.scaled(-1) for o in rest]
+    return o1, [rec.input, *rest[:2]], tuple(rest[2:])
 
 
 # ---------------------------------------------------------------------------
 # split boundaries
 
 
-def _comp_subterm(src: Term, a: int, b: int) -> Optional[Term]:
-    """The convergent leftover kernel whose value, times zeta(2), is the
-    exact limit of the truncation boundary of a harmonic split of the
-    disjoint rows a and b of ``src`` (0-based).  None when the boundary has
-    no such clean constant.
-
-    In the corner n_a + n_b > B both split variables run at scale B; every
-    column form touching row a or b freezes to that scale and the kernel
-    factors into (1 / n_a n_b) times the sub-kernel on the remaining rows
-    and the columns touching neither.  Sum over the corner: zeta(2) times
-    the sub-kernel value.  This factoring is exact in the limit when
-
-      * the pair's own exponent mass is minimal, K({a, b}) = 2;
-      * every larger subset containing both rows has K(T) > |T| (the rest
-        of the corner integrand decays);
-      * subsets containing exactly one have K(T) >= |T| (one-sided strips
-        vanish as usual);
-      * the leftover kernel is a valid convergent term: in particular every
-        remaining row must keep a column of its own.
-    """
-    (sa, ea), (sb, eb) = src.pattern.rows[a], src.pattern.rows[b]
-    if not (ea < sb or eb < sa):
-        return None
-    pair = (1 << a) | (1 << b)
-    for mask, size, mass in subset_masses(src):
-        if mask & pair == pair:
-            if (size == 2 and mass != 2) or (size > 2 and mass <= size):
-                return None
-        elif mask & pair and mass < size:
-            return None
-    kept = [(m, k) for m, k in zip(src.pattern.cover, src.exponents) if not m & pair]
-    sub_rows = []
-    for r in range(src.depth):
-        if r in (a, b):
-            continue
-        mine = [i for i, (m, _) in enumerate(kept, start=1) if m >> r & 1]
-        if not mine:
-            return None
-        sub_rows.append((mine[0], mine[-1]))
-    sub_exps = [k for _, k in kept]
-    try:
-        sub = build_term(sub_rows, sub_exps)
-    except ZetaLatticeError:
-        return None
-    if not converges(sub):
-        return None
-    return sub
-
-
-def boundary_term(src: Term, a: int, b: int) -> Optional[Term]:
-    """The constant truncation boundary of a harmonic split of the disjoint
-    rows a and b of ``src`` (0-based) as a term, oriented as the fourth
-    output of forward_hp(src, a, b): minus src's coefficient times the
-    direct sum of zeta(2) and the leftover kernel (see _comp_subterm), of
-    the weight of ``src``.  None when the boundary has no such constant."""
-    sub = _comp_subterm(src, a, b)
-    if sub is None:
-        return None
-    return direct_sum(from_mzv((2,)), sub).scaled(-src.coefficient)
-
-
-def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
-    """Whether the truncation boundary of a harmonic split of rows a and b
-    (0-based indices into ``t``) vanishes as the box cutoff B grows.
+def split_boundary(src: Term, a: int, b: int) -> Optional[tuple[Term, ...]]:
+    """What the truncation boundary of a harmonic split of rows a and b of
+    ``src`` (0-based) adds to forward_hp(src, a, b) as the box cutoff B
+    grows: () when it vanishes, (boundary term,) when it tends to a
+    constant, and None when it does neither, so the guard bars the split.
 
     Splitting inside [1, B]^d misclassifies exactly the corner
     n_a + n_b > B.  Scale counting there: put each variable at B^theta with
@@ -283,12 +232,46 @@ def split_defect_vanishes(t: Term, a: int, b: int) -> bool:
     Integer data makes failure mean "exponent >= 0", so a polylog factor on
     a passing pair can never flip the verdict.  A convergent source passes
     automatically (its K(T) > |T| for all T); the test has teeth only on
-    divergent intermediates."""
+    divergent intermediates.
+
+    The boundary tends to a constant when every condition holds but the
+    pair's own, whose mass is minimal instead: K({a, b}) = 2.  Then both
+    split variables run at scale B in the corner; every column form
+    touching row a or b freezes to that scale and the kernel factors into
+    (1 / n_a n_b) times the leftover kernel on the remaining rows and the
+    columns touching neither.  Sum over the corner: zeta(2) times the
+    leftover kernel's value.  This is exact in the limit when the pair rows
+    are disjoint and the leftover kernel is a valid convergent term: in
+    particular every remaining row must keep a column of its own.  The
+    boundary term, oriented as a fourth output of forward_hp(src, a, b), is
+    minus src's coefficient times the direct sum of zeta(2) and the
+    leftover kernel, of the weight of ``src``."""
     pair = (1 << a) | (1 << b)
-    for mask, size, mass in subset_masses(t):
-        if not mask & pair:
-            continue
-        need = size + 1 if mask & pair == pair else size
-        if mass < need:
-            return False
-    return True
+    pair_mass = 0
+    for mask, size, mass in subset_masses(src):
+        if mask == pair:
+            pair_mass = mass
+        elif mask & pair:
+            need = size + 1 if mask & pair == pair else size
+            if mass < need:
+                return None
+    if pair_mass != 2:
+        return () if pair_mass > 2 else None
+    (sa, ea), (sb, eb) = src.pattern.rows[a], src.pattern.rows[b]
+    if not (ea < sb or eb < sa):
+        return None
+    kept = [(m, k) for m, k in zip(src.pattern.cover, src.exponents) if not m & pair]
+    spans = [
+        [i for i, (m, _) in enumerate(kept, start=1) if m >> r & 1]
+        for r in range(src.depth)
+        if not pair >> r & 1
+    ]
+    if not all(spans):
+        return None
+    try:
+        sub = build_term([(s[0], s[-1]) for s in spans], [k for _, k in kept])
+    except ZetaLatticeError:
+        return None
+    if not converges(sub):
+        return None
+    return (direct_sum(from_mzv((2,)), sub).scaled(-src.coefficient),)

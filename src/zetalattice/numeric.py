@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
-from .moves import TraceRecord, boundary_term, forward_split
+from .moves import TraceRecord, forward_split, split_boundary
 from .terms import (
     MZVCombination,
     Rat,
@@ -581,17 +581,10 @@ def step_check_lattice(rec: TraceRecord) -> None:
     forward reformulation (first output as the split term).  A fourth
     output, the boundary term, is only checked to have the depth of a
     boundary term here; check_comp_words checks the term itself."""
-    if rec.move not in ("forward_hp", "inverse_hp"):
-        raise ValueError(f"no lattice check for move {rec.move!r}")
-    if len(rec.outputs) not in (3, 4):
-        raise CheckFailed(
-            f"{rec.move} of {rec.input} has {len(rec.outputs)} outputs, "
-            "expected 3 or 4"
-        )
     src, outs, boundary = forward_split(rec)
     a, b = _split_rows(rec, src)
     d = src.depth
-    depths = tuple(o.depth for o in (*outs, boundary) if o is not None)
+    depths = tuple(o.depth for o in (*outs, *boundary))
     want = (d, d, d - 1, d - 1)[: len(depths)]
     if depths != want:
         raise CheckFailed(
@@ -623,23 +616,23 @@ def step_check_lattice(rec: TraceRecord) -> None:
 
 
 def check_comp_words(rec: TraceRecord) -> None:
-    """Check the boundary of a harmonic split: its fourth output, None when
-    it has three, must be the boundary term rebuilt from the split's shape,
-    zeta(2) times the leftover kernel on the rows and columns the split pair
-    does not touch, oriented as in forward_split.  A split whose boundary
-    vanishes has no fourth output to carry, and a split whose boundary tends
-    to a constant may not drop it."""
+    """Check the boundary of a harmonic split: what the record books beyond
+    its three parts, oriented as in forward_split, must be what
+    moves.split_boundary rebuilds from the split's shape, nothing unless
+    the boundary tends to a constant.  A split whose boundary vanishes, or
+    a formal one the guard bars, has no fourth output to carry, and a split
+    whose boundary tends to a constant may not drop it."""
     src, _, boundary = forward_split(rec)
-    want = boundary_term(src, *_split_rows(rec, src))
+    want = split_boundary(src, *_split_rows(rec, src)) or ()
     if boundary == want:
         return
-    if want is None:
+    if not want:
         raise CheckFailed(
             f"compensated split of {rec.input} has no constant boundary"
         )
     raise CheckFailed(
         f"boundary term of the split of {rec.input} is "
-        f"{'missing' if boundary is None else boundary}, expected {want}"
+        f"{boundary[0] if boundary else 'missing'}, expected {want[0]}"
     )
 
 

@@ -7,7 +7,10 @@ REMOVED = {
     "engine": (
         "triangularize", "staircase_step", "duplicate_start_pair", "merge_step"
     ),
-    "moves": ("square_reduce", "insert_aux_column", "aux_circuit"),
+    "moves": (
+        "square_reduce", "insert_aux_column", "aux_circuit",
+        "split_defect_vanishes", "boundary_term",
+    ),
     "linalg": ("kernel_basis", "rank"),
     "numeric": ("verify_trace",),
     "terms": (

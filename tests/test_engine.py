@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import re
 from fractions import Fraction as Rat
@@ -19,13 +20,7 @@ from zetalattice.errors import (
     ParseError,
     TermBudgetExceeded,
 )
-from zetalattice.moves import (
-    TraceRecord,
-    _comp_subterm,
-    boundary_term,
-    forward_split,
-    split_defect_vanishes,
-)
+from zetalattice.moves import TraceRecord, forward_split, split_boundary
 from zetalattice.terms import (
     Term,
     canonical_term,
@@ -202,7 +197,7 @@ def test_divergent_inputs_reduce_formally_and_replay():
         if rec.move != "forward_hp" or len(rec.outputs) == 4:
             continue
         a, b = rec.params["a"], rec.params["b"]
-        if not split_defect_vanishes(rec.input, a, b):
+        if split_boundary(rec.input, a, b) != ():
             assert first_mismatch(rec.input) == (a + 1, b + 1)
 
 
@@ -219,6 +214,41 @@ def test_first_mismatch_spots_non_staircases():
     assert first_mismatch(term([(1, 2), (1, 1)], [1, 1])) is None
 
 
+def test_the_staircase_repair_may_lead_both_guarded_stages():
+    """guarded_moves reads the staircase repair ahead of every candidate in
+    both guarded stages.  That changes no choice: the repair (i, j) is a
+    merge candidate too (its twin), and no candidate ahead of the twin can
+    have a constant boundary, which needs pair mass exactly 2.
+
+    Proof: a square triangular term has distinct starts, so it has no
+    inverse splits.  (i, j) is the first mismatch in column-major order, so
+    row i covers columns i..j-1 and its only merge partner is row j, the
+    twin; merges are ordered by their row a, so every merge ahead of the
+    twin starts at a row a < i.  Row a covers column j, or (a, j) would be
+    an earlier mismatch, so it covers the distinct columns a, i and j, each
+    of exponent at least 1: its pair's mass is at least 3.  Checked here on
+    every square triangular term of depth at most 5, exponents 1 to 3."""
+    ahead = 0
+    for d in range(2, 6):
+        for ends in itertools.product(*(range(m, d + 1) for m in range(1, d + 1))):
+            rows = list(zip(range(1, d + 1), ends))
+            for exps in itertools.product((1, 2, 3), repeat=d):
+                t = term(rows, exps)
+                place = first_mismatch(t)
+                if place is None:
+                    continue
+                lead = (place[0] - 1, place[1] - 1, t, None)
+                candidates = list(engine._split_candidates(t))
+                assert lead in candidates
+                assert all(outs is None for *_, outs in candidates)
+                cover = t.pattern.cover
+                for a, b, _, _ in candidates[: candidates.index(lead)]:
+                    pair = (1 << a) | (1 << b)
+                    assert sum(k for m, k in zip(cover, exps) if m & pair) >= 3
+                    ahead += 1
+    assert ahead
+
+
 # ---------------------------------------------------------------------------
 # boundary soundness of harmonic splits
 
@@ -226,24 +256,32 @@ S = [(1, 3), (2, 2), (3, 3)]  # long top row over two disjoint short ones
 
 
 def test_split_defect_vanishes_is_sharp_on_the_hard_shape():
-    # pair mass exactly 2 leaves a constant boundary: not sound
-    assert not split_defect_vanishes(term(S, [3, 1, 1]), 1, 2)
-    # one extra exponent unit on either pair column restores soundness
-    assert split_defect_vanishes(term(S, [3, 2, 1]), 1, 2)
-    assert split_defect_vanishes(term(S, [3, 1, 2]), 1, 2)
+    # pair mass exactly 2 leaves a constant boundary: it does not vanish
+    assert split_boundary(term(S, [3, 1, 1]), 1, 2) not in (None, ())
+    # one extra exponent unit on either pair column makes it vanish
+    assert split_boundary(term(S, [3, 2, 1]), 1, 2) == ()
+    assert split_boundary(term(S, [3, 1, 2]), 1, 2) == ()
     # merging rows of a convergent term is always sound
-    assert split_defect_vanishes(TORNHEIM, 0, 1)
+    assert split_boundary(TORNHEIM, 0, 1) == ()
 
 
 def test_comp_subterm_extracts_the_constant_boundary():
-    sub = _comp_subterm(term(S, [3, 1, 1]), 1, 2)
-    assert sub is not None
-    assert sub.pattern.rows == ((1, 1),)
-    assert sub.exponents == (3,)
+    src = term(S, [3, 1, 1])
+    (boundary,) = split_boundary(src, 1, 2)
+    # -(zeta(2) (+) the leftover kernel), the kernel being row (1, 1) with
+    # exponent 3, at the weight of the source
+    assert boundary == direct_sum(from_mzv((2,)), term([(1, 1)], [3])).scaled(-1)
+    assert boundary.pattern.rows == ((1, 1), (2, 2))
+    assert boundary.exponents == (2, 3)
+    assert boundary.weight == src.weight
     # leftover kernel must itself converge
-    assert _comp_subterm(term(S, [1, 1, 1]), 1, 2) is None
-    # pair rows must be disjoint
-    assert _comp_subterm(term(S, [3, 1, 1]), 0, 1) is None
+    assert split_boundary(term(S, [1, 1, 1]), 1, 2) is None
+    # the boundary of an overlapping pair of mass 5 vanishes
+    assert split_boundary(term(S, [3, 1, 1]), 0, 1) == ()
+    # pair rows of mass 2 must be disjoint to leave a constant, also when
+    # a convergent leftover kernel, here row (3, 3), remains
+    assert split_boundary(term([(1, 1), (1, 2)], [1, 1]), 0, 1) is None
+    assert split_boundary(term([(1, 1), (1, 2), (3, 3)], [1, 1, 2]), 0, 1) is None
 
 
 STICKY = term([(1, 1), (1, 2), (2, 3)], [2, 1, 2])
@@ -267,8 +305,8 @@ def test_compensated_reduction_of_a_sticky_shape():
         # the fourth output is zeta(2) times the leftover kernel, as a term
         # of the input's weight, and no record but an emit carries words
         src, _, boundary = forward_split(rec)
-        assert boundary == boundary_term(src, rec.params["a"], rec.params["b"])
-        assert boundary.weight == rec.input.weight
+        assert boundary == split_boundary(src, rec.params["a"], rec.params["b"])
+        assert boundary[0].weight == rec.input.weight
         assert set(rec.params) == {"a", "b"}
     assert trace_replay(t, res.trace) == res.combination
 
@@ -331,7 +369,7 @@ def test_an_emit_without_a_word_is_a_failed_check():
 
 def test_merge_step_outputs_share_the_input_weight():
     t = term([(1, 1), (2, 2)], [2, 2])
-    recs, outs, passes = engine._merge(t, 0, 1, None)
+    recs, outs, passes = engine._merge(t, 0, 1, ())
     assert outs and all(u.weight == t.weight for u in outs)
     assert [r.move for r in recs] == ["forward_hp", "pf_step"]
     assert passes >= 1

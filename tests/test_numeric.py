@@ -433,6 +433,14 @@ def test_lattice_check_refuses_malformed_splits_typed():
             bad = TraceRecord(rec.move, rec.input, outs, rec.params)
             with pytest.raises(CheckFailed, match=move):
                 step_check_lattice(bad)
+        # forward_split counts the outputs for both split checks, so the
+        # boundary check needs no lattice check ahead of it
+        padded = rec.outputs * 2
+        for n in (0, 1, 2, 5):
+            bad = TraceRecord(rec.move, rec.input, padded[:n], rec.params)
+            for check in (step_check_lattice, check_comp_words):
+                with pytest.raises(CheckFailed, match="expected 3 or 4"):
+                    check(bad)
 
 
 def one_pf_step_per_kind(records):
