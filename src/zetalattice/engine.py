@@ -84,16 +84,22 @@ raises CheckFailed, naming the shape, if one is not an integer.  _expansion
 memoises it for the whole process, the last EXPANSION_BOUND shapes kept,
 with one interned copy of each term, pattern, exponent tuple, coefficient
 and term key it stores.  Every pop, in this call or any later one, applies
-its shape's expansion times its own m / D through _applied: the pool adds
-m times each output's int, and the records are fresh, share nothing
-mutable with the memo and hold the Fraction m * n / D for an int n of the
-memo, or the memo's own terms when m / D is 1.  So the trace, the
-combination and every counter are those of expanding the shape afresh.
-The combination is summed in ints and divided by D once, at the end.
-With ``verify=True`` every applied record still goes to
-numeric.check_record; an applied record is an exact rational multiple of
-the stored one, and check_record proves each such relation once per
-process.
+its shape's expansion times its own m / D: the pool adds m times each
+output's int, and the pop keeps only the memo's stored records and its m.
+The trace is built once the pop loop has finished and no term is left
+parked, in pop order, through _applied: its records are fresh, share
+nothing mutable with the memo and hold the Fraction m * n / D for an int n
+of the memo (one Fraction per pop and n), or the memo's own terms when
+m / D is 1.  A reduction that parks, runs out of budget or raises
+ProgressViolation builds no record.  So the trace, the combination and
+every counter are those of expanding the shape afresh.  The combination is
+summed in ints and divided by D once, at the end.  With ``verify=True``
+every record goes to numeric.check_record as soon as it is built, in trace
+order; an applied record is an exact rational multiple of the stored one,
+and check_record proves each such relation once per process.  So the
+parked check comes before every step check: a reduction that parks raises
+ParkedTermsError even where a step check would fail, which only an engine
+bug can cause.
 """
 
 from __future__ import annotations
@@ -375,17 +381,23 @@ def _stored(rec: TraceRecord, shape: Term) -> tuple:
     return (rec.move, interned(params), ints, *map(_shared, terms))
 
 
-def _applied(stored: tuple, m: int, d: int) -> TraceRecord:
-    """A new TraceRecord from a stored one times m / d: each term's
-    coefficient is m * n / d for its int n (the params depend on the shape
-    alone), and no mutable object is shared with the memo."""
-    move, params, ints, *terms = stored
-    params = {name: list(v) if type(v) is tuple else v for name, v in params}
-    if m != d:
-        terms = [
-            Term(u.pattern, u.exponents, Rat(m * n, d)) for u, n in zip(terms, ints)
-        ]
-    return TraceRecord(move, terms[0], tuple(terms[1:]), params)
+def _applied(records: tuple, m: int, d: int) -> Iterable[TraceRecord]:
+    """New TraceRecords, one by one, from the stored ``records`` of one pop
+    times m / d: each term's coefficient is m * n / d for its int n (the
+    params depend on the shape alone), one Fraction per distinct n shared by
+    every term that carries it, and no mutable object is shared with the
+    memo."""
+    shared: dict = {}  # n -> Rat(m * n, d)
+    for move, params, ints, *terms in records:
+        params = {name: list(v) if type(v) is tuple else v for name, v in params}
+        if m != d:
+            for n in ints:
+                if n not in shared:
+                    shared[n] = Rat(m * n, d)
+            terms = [
+                Term(u.pattern, u.exponents, shared[n]) for u, n in zip(terms, ints)
+            ]
+        yield TraceRecord(move, terms[0], tuple(terms[1:]), params)
 
 
 def _keyed(outs: Iterable[Term]) -> list[tuple[Term, tuple]]:
@@ -468,10 +480,14 @@ def reduce_to_mzv(
     docstring) with the trace, combination and counters of expanding it
     afresh.  The input counts as convergent when every source term
     converges, terms of coefficient 0 included; the others must share one
-    weight.  With ``verify=True`` every recorded move goes to
-    numeric.check_record as it happens, which runs the exact per-step checks
-    once per relation: a record that is a rational multiple of one already
-    proven passes without a new check.  The combination's values are
+    weight.  The trace records are built after the last pop, and only when
+    no term is left parked: a reduction that raises ParkedTermsError,
+    TermBudgetExceeded or ProgressViolation builds none.  With
+    ``verify=True`` each record goes to numeric.check_record as soon as it is
+    built, in trace order, which runs the exact per-step checks once per
+    relation: a record that is a rational multiple of one already proven
+    passes without a new check.  A reduction that parks therefore raises
+    ParkedTermsError before any step check.  The combination's values are
     interned Fractions (see terms.interned), one object per value."""
     if max_terms < 1:
         raise ParseError(f"term budget must be at least 1, got {max_terms}")
@@ -515,6 +531,7 @@ def reduce_to_mzv(
             )
 
     combo: dict = {}  # word -> multiple of 1/d
+    steps: list = []  # (stored records, m) of every pop that expands
     while pending:
         key = heapq.heappop(queue)
         if key not in pending:
@@ -532,11 +549,7 @@ def reduce_to_mzv(
         # Every move is linear in the coefficient, so a visit is the
         # expansion at coefficient 1 times m / d.
         charge(exp.ticks)
-        for stored in exp.records:
-            rec = _applied(stored, m, d)
-            trace.records.append(rec)
-            if verify:
-                numeric.check_record(rec, rng=rng)
+        steps.append((exp.records, m))
         for ct, out_key, n in zip(exp.outputs, exp.keys, exp.ints):
             add(ct, out_key, m * n)
         if exp.word is not None:
@@ -550,6 +563,13 @@ def reduce_to_mzv(
             f"never cancelled: {shapes}",
             [term_to_json(u) for u in held],
         )
+
+    # the trace, built only now that the reduction has finished
+    for records, m in steps:
+        for rec in _applied(records, m, d):
+            trace.records.append(rec)
+            if verify:
+                numeric.check_record(rec, rng=rng)
 
     for word in combo:
         assert sum(word) in weights, (word, weights)

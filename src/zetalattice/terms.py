@@ -63,6 +63,15 @@ class Pattern:
     def depth(self) -> int:
         return len(self.rows)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass's own hash, hash((width, rows)), computed once per
+        pattern: every Term hash and term_key lookup hashes its pattern."""
+        return hash((self.width, self.rows))
+
     @cached_property
     def cover(self) -> tuple[int, ...]:
         """Bit r of cover[c - 1] is set iff row r (0-based) covers the

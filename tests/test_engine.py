@@ -570,6 +570,43 @@ def test_budget_counts_every_revisit():
         reduce_to_mzv(REVISITING, max_terms=48)
 
 
+# the parked deep4 term of test_parked_terms_are_reported_as_term_json
+PARKED_DEEP4 = term([(1, 1), (1, 4), (2, 3), (3, 5)], [2, 1, 1, 1, 1])
+
+
+def test_failed_reductions_build_no_records(monkeypatch):
+    calls = {"_applied": 0, "check_record": 0}
+    for module, name in ((engine, "_applied"), (numeric, "check_record")):
+        inner = getattr(module, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    with pytest.raises(ParkedTermsError):
+        reduce_to_mzv(PARKED_DEEP4)
+    with pytest.raises(TermBudgetExceeded):
+        reduce_to_mzv(REVISITING, max_terms=48)
+    assert calls == {"_applied": 0, "check_record": 0}
+    # the step checks come after the parked check too
+    with pytest.raises(ParkedTermsError):
+        reduce_to_mzv(PARKED_DEEP4, verify=True)
+    assert calls == {"_applied": 0, "check_record": 0}
+    # a reduction that finishes builds its records through _applied
+    res = reduce_to_mzv(REVISITING, verify=True)
+    assert calls["check_record"] == len(res.trace.records) == 37
+    assert calls["_applied"] == res.trace.terms_processed == 29
+
+
+def test_one_pop_shares_one_fraction_per_coefficient():
+    res = reduce_to_mzv(REVISITING.scaled(Rat(-7, 3)))
+    for rec in res.trace.records:
+        seen = {}
+        for u in (rec.input, *rec.outputs):
+            assert seen.setdefault(u.coefficient, u.coefficient) is u.coefficient
+
+
 @pytest.mark.parametrize(
     "t, smallest",
     [

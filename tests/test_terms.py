@@ -99,6 +99,16 @@ def test_interned_keeps_one_copy_and_is_bounded(monkeypatch):
     assert interned(b) is b
 
 
+def test_pattern_hash_stays_the_hash_of_width_and_rows():
+    rows = ((2, 4), (1, 3), (4, 5), (3, 3))
+    a, b = Pattern(5, rows), Pattern(5, tuple(map(tuple, map(list, rows))))
+    assert a == b and a.rows is not b.rows
+    assert hash(a) == hash(b) == hash((5, rows))
+    a.cover
+    assert hash(a) == hash((a.width, a.rows))
+    assert {a: 1}[b] == 1
+
+
 def test_cover_lists_the_rows_of_each_column():
     pat = Pattern(5, ((2, 4), (1, 3), (4, 5), (3, 3)))
     assert pat.cover == (0b0010, 0b0011, 0b1011, 0b0101, 0b0100)
