@@ -12,11 +12,16 @@ rule in every variable, contracted with ``np.einsum`` as a product of row
 tables.  Columns of equal cover enter the integrand symmetrically, so each
 group of them is summed over multisets of nodes rather than over all tuples,
 and each factor 1/(1 - P_j) is tabulated on the axes of its own row's groups.
-The rows through the first column are tabulated in blocks of at most _CHUNK
-entries along its group's axis, the others once, so with n nodes and W
-variables no table holds more than max(_CHUNK, n^(W-1)) entries.  It is a
-second, structurally different numeric oracle next to the direct partial
-sums.
+Each axis carries its points' products p and 1 - p (from -expm1 of their log
+sums), and a table of 1 - P is built from them one axis at a time as
+(1 - P) + P(1 - p).  Both addends are non-negative, so no digits cancel and
+each entry stays accurate relative to its size at the P -> 1 faces of the
+cube, where the integrand is largest.  The rows through the first column are
+tabulated in blocks of at most _CHUNK entries along its group's axis, the
+others once, so with n nodes and W variables no table holds more than
+max(_CHUNK, n^(W-1)) entries; the contraction plans a greedy path only when
+two or more indices are left.  It is a second, structurally different
+numeric oracle next to the direct partial sums.
 
 The same data also carries a rational differential form
 
@@ -61,10 +66,17 @@ DEFAULT_NODE_COUNTS = {2: 81, 3: 61, 4: 49, 5: 35}
 # tanh-sinh quadrature on [0, 1]
 
 
+def _rule_size(count: int) -> int:
+    """The number of nodes tanh_sinh_nodes(count) returns: 2K+1 with
+    K = max(3, count // 2)."""
+    return 2 * max(3, count // 2) + 1
+
+
 def tanh_sinh_nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights, and exact 1-x complements for the substitution
-    x = (1 + tanh(pi/2 * sinh(kh)))/2, k = -K..K with count = 2K+1."""
-    K = max(3, count // 2)
+    x = (1 + tanh(pi/2 * sinh(kh)))/2, k = -K..K: 2K+1 = _rule_size(count)
+    nodes."""
+    K = _rule_size(count) // 2
     h = math.asinh(2.0 / math.pi * math.atanh(1.0 - 1e-14)) / K
     ts = h * np.arange(-K, K + 1, dtype=float)
     s = 0.5 * math.pi * np.sinh(ts)
@@ -98,6 +110,33 @@ def _multisets(
     return s, orderings * w
 
 
+def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` with trailing unit axes up to ``ndim``, to broadcast over them."""
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+
+
+def _extend(
+    p: np.ndarray, om: np.ndarray, om_f: np.ndarray, out=None
+) -> np.ndarray:
+    """1 - PF over the outer product of the axes of P and of F, from P,
+    om = 1 - P and om_f = 1 - F, as (1 - P) + P(1 - F): two passes, and
+    both addends are non-negative, so no digits cancel."""
+    t = np.multiply.outer(p, om_f, out=out)
+    t += _lift(om, t.ndim)
+    return t
+
+
+def _one_minus(axes: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """1 - P over the outer product of ``axes``, each given as (p, 1 - p),
+    P the product of their p; the last step needs no P."""
+    p, om = axes[0]
+    for k, (p_axis, om_axis) in enumerate(axes[1:], 2):
+        om = _extend(p, om, om_axis)
+        if k < len(axes):
+            p = np.multiply.outer(p, p_axis)
+    return om
+
+
 def _ts_value(
     pattern: Pattern, rule: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> float:
@@ -109,22 +148,33 @@ def _ts_value(
     Columns of equal cover lie in the same rows and carry the same weight, so
     the summand is symmetric in their node indices: a group of g such columns
     gets one axis over the multisets of g nodes (see _multisets), and a group
-    whose axis would pass _CHUNK points is split into smaller ones.  Each row
-    factor 1/(1 - P) is tabulated on the axes of its groups, 1 - P computed
-    as -expm1(sum of log x) so it stays accurate at the P -> 1 faces.  The
-    rows through column 1 are walked in blocks along the axis of its group,
-    at most _CHUNK entries a block (one point, if that is more), and summed
-    against that axis's weights into one table over their other axes; the
-    other rows are tabulated once, and np.einsum contracts them with that
-    table and the axis weights.  Every table misses column 1 or is a block,
-    so none holds more than max(_CHUNK, n^(W-1)) entries."""
+    whose axis would pass _CHUNK points is split into smaller ones.  Each
+    axis carries p = exp(s) and 1 - p = -expm1(s), s its points' sums of
+    log x.  A row's table of 1 - P over several axes is built from these by
+    _one_minus, one axis at a time, as (1 - P) + P(1 - p): both addends are
+    non-negative, so at the P -> 1 faces each entry stays as accurate,
+    relative to its size, as -expm1 of the row's log sum, and no table is
+    built as a sum of logs and passed through expm1.
+
+    The rows through column 1 are walked in blocks along the axis of its
+    group, at most _CHUNK entries a block (one point, if that is more).
+    1 - Q over each walked row's other axes is built once, so a block's
+    1 - P0 Q is one _extend.  The widest row's goes into one reused buffer;
+    the block's weights over the narrower walked rows' (smaller) tables are
+    divided into it in place, and it is summed into one table M over the
+    widest row's other axes.  The other rows are tabulated once, and
+    np.einsum contracts them with M and the axis weights, along a greedy
+    path only when two or more indices are left to contract: over one index
+    there is no path to choose, and planning one costs far more than the
+    sum.  Every table misses column 1 or is a block, so none holds more than
+    max(_CHUNK, n^(W-1)) entries."""
     x, wts, omx = rule
     n = len(x)
     lx = np.log1p(-omx)
     sizes: dict[int, int] = {}  # cover mask -> columns, column 1's first
     for mask in pattern.cover:
         sizes[mask] = sizes.get(mask, 0) + 1
-    masks, logs, weights = [], [], []  # per axis
+    masks, axes, weights = [], [], []  # per axis: its (p, 1 - p) is in axes
     for mask, g in sizes.items():
         vec = wts * x ** float(bin(mask).count("1") - 1)
         while g:
@@ -134,17 +184,9 @@ def _ts_value(
             )
             s, w = _multisets(lx, vec, size)
             masks.append(mask)
-            logs.append(s)
+            axes.append((np.exp(s), -np.expm1(s)))
             weights.append(w)
             g -= size
-
-    def table(parts: list[np.ndarray], numerator=1.0) -> np.ndarray:
-        # numerator/(1 - P) over the outer sum of the log sums in `parts`
-        S = parts[0].copy()
-        for p in parts[1:]:
-            S = np.add.outer(S, p)
-        np.expm1(S, out=S)
-        return np.divide(-numerator, S, out=S)
 
     # The axes of each row, ascending.  A row through column 1 covers
     # columns 1..b, whose groups are the first axes, so the rows on axis 0
@@ -153,26 +195,41 @@ def _ts_value(
         [i for i, mask in enumerate(masks) if mask >> j & 1]
         for j in range(pattern.depth)
     ]
-    walked = sorted((r for r in rows if r[0] == 0), key=len, reverse=True)
+    walked = sorted((r for r in rows if r[0] == 0), key=len)
     fixed = [r for r in rows if r[0] != 0]
-    widest = walked[0][1:]
-    M = np.zeros([len(logs[i]) for i in widest])
+    widest = walked[-1][1:]
+    # 1 - Q over each walked row's other axes; Q = 1 over none of them
+    rest = [
+        _one_minus([axes[i] for i in r[1:]]) if len(r) > 1 else np.zeros(())
+        for r in walked
+    ]
+    M = np.zeros([len(weights[i]) for i in widest])
     block = max(1, _CHUNK // M.size)
-    for lo in range(0, len(logs[0]), block):
-        s0 = logs[0][lo : lo + block]
-        w0 = weights[0][lo : lo + block].reshape((-1,) + (1,) * M.ndim)
-        product = table([s0] + [logs[i] for i in widest], w0)
-        for r in walked[1:]:
-            T = table([s0] + [logs[i] for i in r[1:]])
-            product *= T.reshape(T.shape + (1,) * (product.ndim - T.ndim))
-        M += product.sum(axis=0)
+    buf = np.empty((min(block, len(weights[0])),) + M.shape)
+    for lo in range(0, len(weights[0]), block):
+        p0, om0 = (a[lo : lo + block] for a in axes[0])
+        num = weights[0][lo : lo + block]
+        for om_q in rest[:-1]:
+            T = _extend(p0, om0, om_q)
+            num = _lift(num, T.ndim) / T
+        T = _extend(p0, om0, rest[-1], out=buf[: len(p0)])
+        np.divide(_lift(num, T.ndim), T, out=T)
+        M += T[0] if len(T) == 1 else T.sum(axis=0)
 
     letters = [chr(ord("a") + i) for i in range(len(masks))]
     subscripts = ",".join(
         letters[1:] + ["".join(letters[i] for i in r) for r in fixed + [widest]]
     ) + "->"
-    tables = [table([logs[i] for i in r]) for r in fixed]
-    return float(np.einsum(subscripts, *weights[1:], *tables, M, optimize="greedy"))
+    tables = [1.0 / _one_minus([axes[i] for i in r]) for r in fixed]
+    return float(
+        np.einsum(
+            subscripts,
+            *weights[1:],
+            *tables,
+            M,
+            optimize="greedy" if len(masks) > 2 else False,
+        )
+    )
 
 
 def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
@@ -181,9 +238,10 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     reported cutoff is the node count the rule actually used.  Below 8 nodes
     both rules are the same 7-point rule, so there is no estimate and the
     error is reported as infinite.  Raises ParseError, before expanding or
-    tabulating anything, when n^(W-1), the bound on its tables at n nodes
-    and weight W, is above TABLE_ENTRY_LIMIT, and when the coefficient or
-    the value is outside the float range."""
+    tabulating anything, when n^(W-1) is above TABLE_ENTRY_LIMIT, where W is
+    the weight and n = _rule_size(nodes) the node count the rule uses (so its
+    tables hold at most n^(W-1) entries), and when the coefficient or the
+    value is outside the float range."""
     if nodes is not None and nodes < 1:
         raise ParseError(f"node count must be at least 1, got {nodes}")
     if not converges(t):
@@ -194,17 +252,17 @@ def integral_eval(t: Term, nodes: Optional[int] = None) -> EvalReport:
     W = t.weight  # the width of the expanded pattern
     if nodes is None:
         nodes = DEFAULT_NODE_COUNTS.get(W, 21)
+    used = _rule_size(nodes)
     # at most 23 factors: any node count from 2 on is past the limit by then
     refuse_table(
-        nodes ** min(W - 1, TABLE_ENTRY_LIMIT.bit_length()),
-        f"a cube integral of weight {W} at {nodes} nodes needs a table of "
-        f"{nodes}^{W - 1} entries",
+        used ** min(W - 1, TABLE_ENTRY_LIMIT.bit_length()),
+        f"a cube integral of weight {W} at {nodes} nodes runs a {used}-node "
+        f"rule and needs a table of {used}^{W - 1} entries",
     )
     c = finite_float(t.coefficient, "the coefficient of the term")
     pattern = expand(t)
     rule = tanh_sinh_nodes(nodes)
     coarse_rule = tanh_sinh_nodes(max(7, (nodes // 2) | 1))
-    used = len(rule[0])
     fine = _ts_value(pattern, rule)
     value = finite_float(c * fine, "the value of the integral")
     if len(coarse_rule[0]) == used:

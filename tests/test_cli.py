@@ -70,6 +70,15 @@ def test_an_oversized_integral_exits_2(capsys):
     assert err["kind"] == "ParseError" and "21 nodes" in err["error"]
 
 
+def test_an_integral_too_large_for_its_real_rule_exits_2(capsys):
+    # --nodes 3 runs the 7-point rule, and weight 9 needs tables of 7^8
+    rows = ",".join(f"[{k},9]" for k in range(1, 9))
+    big = f'{{"rows": [{rows}], "exponents": [1,1,1,1,1,1,1,1,1]}}'
+    assert cli.main(["integral", big, "--nodes", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ParseError" and "7-node rule" in err["error"]
+
+
 def test_check_command_and_exit_codes():
     assert json.loads(run_cli("check", TORNHEIM).stdout)["passed"] is True
     # an absurd tolerance turns the same comparison into a failure, exit 1

@@ -10,7 +10,10 @@ import pytest
 from zetalattice.errors import CycleDetected, DivergentSeries, ParseError
 from zetalattice.numeric import _CHUNK, eval_term
 from zetalattice.periods import (
+    DEFAULT_NODE_COUNTS,
     TABLE_ENTRY_LIMIT,
+    _multisets,
+    _one_minus,
     _ts_value,
     forest_expand,
     integral_eval,
@@ -103,6 +106,93 @@ def prefix_loop_ts_value(W, rows, measure_exponents, count):
     return math.fsum(pieces)
 
 
+def outer_sum_ts_value(pattern, rule):
+    """The former contracted rule, kept as a reference: the same multiset
+    axes, blocks and contraction as _ts_value, but every row table built as
+    -expm1 over the outer sum of its axes' log sums."""
+    x, wts, omx = rule
+    n = len(x)
+    lx = np.log1p(-omx)
+    sizes = {}
+    for mask in pattern.cover:
+        sizes[mask] = sizes.get(mask, 0) + 1
+    masks, logs, weights = [], [], []
+    for mask, g in sizes.items():
+        vec = wts * x ** float(bin(mask).count("1") - 1)
+        while g:
+            size = max(
+                [k for k in range(2, g + 1) if math.comb(n + k - 1, k) <= _CHUNK],
+                default=1,
+            )
+            s, w = _multisets(lx, vec, size)
+            masks.append(mask)
+            logs.append(s)
+            weights.append(w)
+            g -= size
+
+    def table(parts, numerator=1.0):
+        S = parts[0].copy()
+        for p in parts[1:]:
+            S = np.add.outer(S, p)
+        np.expm1(S, out=S)
+        return np.divide(-numerator, S, out=S)
+
+    rows = [
+        [i for i, mask in enumerate(masks) if mask >> j & 1]
+        for j in range(pattern.depth)
+    ]
+    walked = sorted((r for r in rows if r[0] == 0), key=len, reverse=True)
+    fixed = [r for r in rows if r[0] != 0]
+    widest = walked[0][1:]
+    M = np.zeros([len(logs[i]) for i in widest])
+    block = max(1, _CHUNK // M.size)
+    for lo in range(0, len(logs[0]), block):
+        s0 = logs[0][lo : lo + block]
+        w0 = weights[0][lo : lo + block].reshape((-1,) + (1,) * M.ndim)
+        product = table([s0] + [logs[i] for i in widest], w0)
+        for r in walked[1:]:
+            T = table([s0] + [logs[i] for i in r[1:]])
+            product *= T.reshape(T.shape + (1,) * (product.ndim - T.ndim))
+        M += product.sum(axis=0)
+
+    letters = [chr(ord("a") + i) for i in range(len(masks))]
+    subscripts = ",".join(
+        letters[1:] + ["".join(letters[i] for i in r) for r in fixed + [widest]]
+    ) + "->"
+    tables = [table([logs[i] for i in r]) for r in fixed]
+    return float(np.einsum(subscripts, *weights[1:], *tables, M, optimize="greedy"))
+
+
+def test_product_tables_match_the_outer_sum_rule_on_the_corpus(corpus200):
+    # every term of corpus200 that the benchmark integrates, at its default
+    # node count: building 1 - P from products moves values only by rounding
+    small = [t for t in corpus200 if t.weight <= 4]
+    assert len(small) == 31
+    for t in small:
+        pattern = expand(t)
+        rule = tanh_sinh_nodes(DEFAULT_NODE_COUNTS[t.weight])
+        want = outer_sum_ts_value(pattern, rule)
+        got = _ts_value(pattern, rule)
+        assert abs(got - want) <= 1e-13 * abs(want), (t, got, want)
+
+
+def test_product_built_one_minus_p_is_accurate_at_the_faces():
+    # at the nodes nearest 1, where 1 - P is a few ulps of 1, the product
+    # form agrees with -expm1 of the summed logs to a few ulps
+    x, _, omx = tanh_sinh_nodes(49)
+    lx = np.log1p(-omx[-6:])
+    axis = (np.exp(lx), -np.expm1(lx))
+    assert axis[1].max() < 1e-7 and axis[1].min() < 1e-14
+    for k in (2, 3, 4):
+        got = _one_minus([axis] * k)
+        S = lx
+        for _ in range(k - 1):
+            S = np.add.outer(S, lx)
+        want = -np.expm1(S)
+        assert got.shape == want.shape == (6,) * k
+        assert (np.abs(got - want) <= 4 * np.finfo(float).eps * want).all()
+
+
 @pytest.mark.parametrize(
     "width, rows",
     [
@@ -182,6 +272,25 @@ def test_integral_refuses_oversized_tables_before_tabulating():
             integral_eval(t)
         with pytest.raises(ParseError, match="weight 2 at"):
             integral_eval(term([(1, 1)], [2]), TABLE_ENTRY_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_integral_refuses_on_the_node_count_its_rule_uses():
+    # nodes 1-7 all run the 7-point rule, whose weight-9 tables need 7^8
+    # entries, and 2048 nodes run 2049, whose weight-3 tables need 2049^2:
+    # each is refused, naming that count, before anything is tabulated
+    t = term([(k, 9) for k in range(1, 9)], [1] * 9)
+    assert t.weight == 9
+    tracemalloc.start()
+    try:
+        for nodes in range(1, 8):
+            with pytest.raises(ParseError, match="7-node rule .* 7\\^8 entries"):
+                integral_eval(t, nodes)
+        with pytest.raises(ParseError, match="2049-node rule .* 2049\\^2 entries"):
+            integral_eval(term([(1, 1)], [3]), 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
