@@ -12,8 +12,9 @@ Two families of moves, each an exact identity of kernels or of lattice sums:
 * ``forward_hp`` / ``inverse_hp`` — the harmonic (stuffle) split.  Two rows
   with touching supports [i,j], [j+1,k] carry independent variables n, m; the
   lattice splits into n>m, n<m, n=m, and the substitutions (n,m) = (u+v,u),
-  (u,u+v), (u,u) turn each part into a new term whose two special rows are
-  {[i,k],[i,j]}, {[i,k],[j+1,k]}, {[i,k]} with exponents unchanged.
+  (u,u+v), (u,u) (the table SPLIT_CASES) turn each part into a new term
+  whose two special rows are {[i,k],[i,j]}, {[i,k],[j+1,k]}, {[i,k]} with
+  exponents unchanged.
   ``inverse_hp`` solves the same identity for its first right-hand term.
 
 A harmonic split is exact on the full lattice but not inside a box cutoff.
@@ -133,8 +134,16 @@ def _with_rows(t: Term, a: int, b: int, ra, rb, sign=Rat(1)) -> Term:
     return Term(Pattern(t.width, tuple(rows)), t.exponents, t.coefficient * sign)
 
 
+# The split's parts n > m, n < m, n = m (n of row a, m of row b), each
+# writing n and m as sums of its output's u (row a) and v (row b; no v
+# drops it).  forward_hp builds its outputs from this table, and
+# numeric.step_check_lattice substitutes it into the source's column forms.
+SPLIT_CASES = (("uv", "u"), ("u", "uv"), ("u", "u"))
+
+
 def forward_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
-    """Split rows a = [i,j] and b = [j+1,k] over n>m, n<m, n=m.
+    """Split rows a = [i,j] and b = [j+1,k] over n>m, n<m, n=m, one output
+    per part of SPLIT_CASES.
 
     Raw output layout (used by the lattice checks): in every output, position
     a holds the merged row [i,k] with the small variable u; in outputs 1 and 2
@@ -148,10 +157,14 @@ def forward_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
         raise RowsNotAdjacent(
             f"rows ({i},{j}) and ({j1},{k}) do not touch end-to-start"
         )
-    return (
-        _with_rows(t, a, b, (i, k), (i, j)),
-        _with_rows(t, a, b, (i, k), (j1, k)),
-        _with_rows(t, a, b, (i, k), None),
+
+    def row(var: str, case) -> Optional[tuple[int, int]]:
+        """The row of ``var``: the union of the touching rows it enters."""
+        spans = [s for s, sub in zip(((i, j), (j1, k)), case) if var in sub]
+        return (spans[0][0], spans[-1][1]) if spans else None
+
+    return tuple(
+        _with_rows(t, a, b, row("u", case), row("v", case)) for case in SPLIT_CASES
     )
 
 

@@ -17,12 +17,13 @@ Two kinds of checks live here, at different levels of trust:
   tolerance-based.
 * per-step checks: every recorded rewrite is re-verified on its own, either
   as an exact rational-function identity sampled at random positive points
-  (partial fractions) or as an explicit bijection between truncated
-  lattices with exact kernel matching (harmonic splits); an emit must have
-  no outputs and its chain input's word.  Every check is linear in the
-  record's coefficients, and no param holds one, so check_record proves
-  each relation once: it keeps the last CHECKED_BOUND relations that
-  passed, each keyed exactly by the record divided by its input
+  (partial fractions) or, sampling nothing, as identities of column forms
+  (harmonic splits: each part of moves.SPLIT_CASES substituted into the
+  source's forms gives its output's, at the source's coefficient); an emit
+  must have no outputs and its chain input's word.  Every check is linear
+  in the record's coefficients, and no param holds one, so check_record
+  proves each relation once: it keeps the last CHECKED_BOUND relations
+  that passed, each keyed exactly by the record divided by its input
   coefficient, and a rational multiple of one of them passes without a new
   check.  Each relation still meets its full check once, so the
   Schwartz-Zippel bound per relation, (D / 2^30)^10 for a false identity
@@ -46,6 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
+from . import moves
 from .moves import TraceRecord, forward_split, split_boundary
 from .terms import (
     MZVCombination,
@@ -54,13 +56,14 @@ from .terms import (
     Word,
     chain_word,
     converges,
+    integers,
     interned,
     is_admissible,
+    merged_columns,
 )
 
 DEPTH_CUTOFFS = {1: 1_000_000, 2: 3000, 3: 600}
 _CHUNK = 1 << 16
-LATTICE_BOUND = 6  # a harmonic split is checked on the box [1, 6]^depth
 RATIONAL_POINTS = 10  # random integer points per rational identity
 # Largest table a numeric oracle may build, in entries: 32 MiB of float64.
 # A cube integral of weight 6 at its default 21 nodes needs 4,084,101
@@ -384,7 +387,7 @@ def _word_partials(word: Word, cutoffs: Sequence[int]) -> list[float]:
 
 def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
     """Extrapolated numeric zeta(word); the first part must be >= 2."""
-    w = tuple(int(k) for k in word)
+    w = integers(word, ParseError, "word parts")
     if not w or any(k < 1 for k in w):
         raise ParseError(f"not a composition: {word!r}")
     if not is_admissible(w):
@@ -456,26 +459,11 @@ def check_reduction(
 # per-step checks
 
 
-def _column_forms(t: Term) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(covering rows, exponent) for each column of nonzero exponent: the
-    kernel's denominator is the product of (sum of those rows)^exponent."""
-    return tuple(
-        (tuple(i for i in range(t.depth) if mask >> i & 1), k)
-        for mask, k in zip(t.pattern.cover, t.exponents)
-        if k
-    )
-
-
-def _denominator(forms, x: Sequence[int]) -> int:
-    """prod_c L_c(x)^k_c at an integer point: the kernel there is
-    coefficient / this."""
-    den = 1
-    for rows, k in forms:
-        s = 0
-        for i in rows:
-            s += x[i]
-        den *= s**k
-    return den
+def _forms(t: Term) -> dict[int, int]:
+    """{cover mask: total exponent} of the columns of nonzero exponent: the
+    kernel is the coefficient over prod L^exponent, L the sum of the
+    variables of the rows in the mask."""
+    return {m: k for m, k in merged_columns(t.pattern, t.exponents).items() if k}
 
 
 def emit_word(rec: TraceRecord) -> Word:
@@ -511,12 +499,16 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
     if any(o.depth != d for o in rec.outputs):
         raise CheckFailed(f"{rec.move} of {rec.input} changes its depth: {rec}")
     terms = [rec.input, *rec.outputs]
-    forms = [_column_forms(t) for t in terms]
+    forms = [_forms(t) for t in terms]
     for _ in range(RATIONAL_POINTS):
         z = [rng.randint(1, 1 << 30) for _ in range(d)]
+        sums = [0]  # sums[mask]: the sum of z[i] over the bits i of mask
+        for zi in z:
+            sums += [s + zi for s in sums]
+        dens = [math.prod(sums[m] ** k for m, k in f.items()) for f in forms]
         lhs, *outs = (
-            Rat(t.coefficient.numerator, t.coefficient.denominator * _denominator(f, z))
-            for t, f in zip(terms, forms)
+            Rat(t.coefficient.numerator, t.coefficient.denominator * den)
+            for t, den in zip(terms, dens)
         )
         rhs = sum(outs, start=Rat(0))
         if lhs != rhs:
@@ -525,44 +517,38 @@ def step_check_rational(rec: TraceRecord, rng) -> None:
             )
 
 
-@functools.lru_cache(maxsize=None)
-def _checked_split_map(a: int, b: int, d: int, bound: int) -> None:
-    """Check once per (a, b, depth, bound) that the three case substitutions
-    of _split_map biject [1,B]^d onto the three output boxes; raises
-    CheckFailed otherwise (a failure is not cached and raises again)."""
-    images: list[set] = [set(), set(), set()]
-    for _, idx, y in _split_map(a, b, d, bound):
-        if y in images[idx]:
-            raise CheckFailed(f"lattice map repeats image point {y}")
-        images[idx].add(y)
-    full = itertools.product(range(1, bound + 1), repeat=d)
-    split_box = {y for y in full if y[a] + y[b] <= bound}
-    merged_box = set(itertools.product(range(1, bound + 1), repeat=d - 1))
-    for idx, want in ((0, split_box), (1, split_box), (2, merged_box)):
-        if images[idx] != want:
-            raise CheckFailed(
-                f"split ({a}, {b}): case {idx} covers {len(images[idx])} "
-                f"points, expected {len(want)}"
-            )
+@functools.lru_cache(maxsize=1)
+def _check_split_cases(cases: tuple) -> None:
+    """Check once per case table that its parts partition the pairs (n, m)
+    of positive integers with n + m <= 12: each is taken by one part at one
+    u, v in [1, 12] (u alone for a part without v; a larger u or v would
+    leave the triangle).  CheckFailed otherwise, never cached."""
+    box = range(1, 13)
+    taken = []
+    for n_of, m_of in cases:
+        for u, v in itertools.product(box, box if "v" in n_of + m_of else (0,)):
+            y = tuple(sum({"u": u, "v": v}[c] for c in sub) for sub in (n_of, m_of))
+            if sum(y) <= 12:
+                taken.append(y)
+    want = {(n, m) for n in box for m in box if n + m <= 12}
+    if len(taken) != len(want) or set(taken) != want:
+        raise CheckFailed(f"the split parts {cases} do not partition the pairs (n, m)")
 
 
-def _split_map(a: int, b: int, d: int, bound: int):
-    """Yield (x, case, y) over x in [1,B]^d: the harmonic split of rows a, b
-    sends x to y in the box of output `case` (n > m, n < m, n = m)."""
-    for x in itertools.product(range(1, bound + 1), repeat=d):
-        n, m = x[a], x[b]
-        y = list(x)
-        if n > m:
-            idx = 0
-            y[a], y[b] = m, n - m
-        elif n < m:
-            idx = 1
-            y[a], y[b] = n, m - n
-        else:
-            idx = 2
-            y[a] = n
-            del y[b]
-        yield x, idx, tuple(y)
+def _substituted(forms: dict[int, int], a: int, b: int, case) -> dict[int, int]:
+    """``forms`` of a term split at rows a and b, in the variables of one
+    part's output: row a's n and row b's m become the sums ``case`` gives of
+    u (row a) and v (row b); a part without v drops row b.  Rows a and b
+    share no column, so every form stays a mask."""
+    n_mask, m_mask = (sum({"u": 1 << a, "v": 1 << b}[c] for c in sub) for sub in case)
+    out: dict[int, int] = {}
+    for mask, k in forms.items():
+        new = mask & ~(1 << a | 1 << b)
+        new |= (n_mask if mask >> a & 1 else 0) | (m_mask if mask >> b & 1 else 0)
+        if "v" not in case[0] + case[1]:
+            new = new & ((1 << b) - 1) | new >> (b + 1) << b
+        out[new] = out.get(new, 0) + k
+    return out
 
 
 def _split_rows(rec: TraceRecord, src: Term) -> tuple[int, int]:
@@ -574,13 +560,17 @@ def _split_rows(rec: TraceRecord, src: Term) -> tuple[int, int]:
 
 
 def step_check_lattice(rec: TraceRecord) -> None:
-    """Exact check of a harmonic split on the truncated lattice [1,B]^d,
-    B = LATTICE_BOUND: the three case substitutions must biject onto the
-    three output lattices with exact kernel equality point by point, compared
-    as cross-multiplied integers.  Inverse splits are checked through their
-    forward reformulation (first output as the split term).  A fourth
-    output, the boundary term, is only checked to have the depth of a
-    boundary term here; check_comp_words checks the term itself."""
+    """Exact check of a harmonic split as identities of column forms.  The
+    parts of moves.SPLIT_CASES partition the pairs of the split rows'
+    variables (checked once per table, up to n + m = 12), each substitution
+    maps its output's lattice one to one onto its part, and a kernel is a
+    product of powers of distinct linear forms.  So the split holds at every
+    lattice point iff, per part, the source's forms with the part
+    substituted are the output's and the coefficients agree (or all are 0):
+    exact, O(width * depth).  The split rows must touch end to start, as
+    forward_hp requires.  An inverse split is checked in its forward form
+    (forward_split).  A fourth output, the boundary term, is only checked
+    for its depth here; check_comp_words checks the term itself."""
     src, outs, boundary = forward_split(rec)
     a, b = _split_rows(rec, src)
     d = src.depth
@@ -591,28 +581,13 @@ def step_check_lattice(rec: TraceRecord) -> None:
             f"{rec.move} of {rec.input}: split of a depth-{d} term has "
             f"depths {depths}, expected {want}"
         )
-    _checked_split_map(a, b, d, LATTICE_BOUND)
-    cs = src.coefficient
-    src_forms = _column_forms(src)
-    cases = [
-        (
-            cs.numerator * o.coefficient.denominator,
-            o.coefficient.numerator * cs.denominator,
-            _column_forms(o),
-        )
-        for o in outs
-    ]
-    # cs / D_src(x) == co / D_out(y), cross-multiplied into integers
-    for x, idx, y in _split_map(a, b, d, LATTICE_BOUND):
-        left, right, forms = cases[idx]
-        if left * _denominator(forms, y) != right * _denominator(src_forms, x):
-            lhs = Rat(cs.numerator, cs.denominator * _denominator(src_forms, x))
-            co = outs[idx].coefficient
-            rhs = Rat(co.numerator, co.denominator * _denominator(forms, y))
-            raise CheckFailed(
-                f"{rec.move}: kernel mismatch at {x} -> case {idx}, {y}: "
-                f"{lhs} != {rhs}"
-            )
+    if src.pattern.rows[b][0] != src.pattern.rows[a][1] + 1:
+        raise CheckFailed(f"{rec.move} of {rec.input}: rows {a}, {b} do not touch")
+    _check_split_cases(moves.SPLIT_CASES)
+    cs, forms = src.coefficient, _forms(src)
+    for idx, (case, o) in enumerate(zip(moves.SPLIT_CASES, outs)):
+        if o.coefficient != cs or cs and _forms(o) != _substituted(forms, a, b, case):
+            raise CheckFailed(f"{rec.move}: part {idx} of {src} is not {o}")
 
 
 def check_comp_words(rec: TraceRecord) -> None:
@@ -691,7 +666,7 @@ def _check(rec: TraceRecord, rng) -> None:
         step_check_lattice(rec)
         check_comp_words(rec)
     else:
-        raise ValueError(f"unknown move {rec.move!r}")
+        raise CheckFailed(f"no check for move {rec.move!r} of {rec.input}")
 
 
 def check_record(rec: TraceRecord, rng) -> None:
@@ -699,8 +674,8 @@ def check_record(rec: TraceRecord, rng) -> None:
     ``rng`` draws the sample points of the rational checks.
 
     Every check is homogeneous of degree 1 in the record's coefficients:
-    the rational identity c_in / D_in = sum c_o / D_o, the cross-multiplied
-    lattice equality and the boundary term (it scales with the coefficient
+    the rational identity c_in / D_in = sum c_o / D_o, the split's equality
+    of coefficients and the boundary term (it scales with the coefficient
     of the term split); an emit's check reads its shape and word alone.  So
     a record that is an exact rational multiple of one that passed passes
     too.  A table keyed by the record divided by its input coefficient

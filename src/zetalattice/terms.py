@@ -25,6 +25,7 @@ Words here follow the convention that the first entry is the exponent of the
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -90,6 +91,16 @@ class Pattern:
         return [a for a, _ in self.rows]
 
 
+def integers(values: Iterable, error: type[Exception], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  Anything operator.index refuses (a
+    float, even 2.0, a str, a Fraction) raises ``error`` naming ``what``,
+    where int() would truncate or parse it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"{what} must be integers: {values!r}") from None
+
+
 def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
     """Full well-formedness check; raises MalformedInterval / ZeroColumn /
     RankDeficient.  Returns the pattern with rows in the given order."""
@@ -101,7 +112,7 @@ def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
     for r in rows:
         if len(r) != 2:
             raise MalformedInterval(f"row {r!r} is not a (start, end) pair")
-        a, b = int(r[0]), int(r[1])
+        a, b = integers(r, MalformedInterval, "row ends")
         if not (1 <= a <= b <= width):
             raise MalformedInterval(f"row ({a},{b}) out of bounds for width {width}")
         rr.append((a, b))
@@ -156,7 +167,7 @@ def term(
 ) -> Term:
     """Validating constructor; the width is the number of exponents."""
     pat = validate_pattern(rows, len(exponents))
-    exps = tuple(int(k) for k in exponents)
+    exps = integers(exponents, MalformedInterval, "exponents")
     if any(k < 1 for k in exps):
         raise MalformedInterval(f"exponents must be positive, got {exps}")
     return Term(pat, exps, _as_rat(coefficient))
@@ -190,7 +201,7 @@ def _as_rat(x) -> Rat:
 # pulling every later copy next to the first one keeps every row contiguous.
 
 
-def _merged_columns(pattern: Pattern, exponents: Sequence[int]) -> dict[int, int]:
+def merged_columns(pattern: Pattern, exponents: Sequence[int]) -> dict[int, int]:
     """The total exponent of each column cover (bitmask over the rows), the
     covers in order of first appearance: columns of equal cover merge."""
     merged: dict[int, int] = {}
@@ -206,7 +217,7 @@ def canonical_term(t: Term) -> Term:
     interval-structure witness.  Raises IntervalBroken when a group's
     exponent is zero or a row stops being contiguous."""
     pat = Pattern(t.width, tuple(sorted(t.pattern.rows)))
-    merged = _merged_columns(pat, t.exponents)
+    merged = merged_columns(pat, t.exponents)
     new_exps = tuple(merged.values())
     if any(k < 1 for k in new_exps):
         raise IntervalBroken("zero-exponent column survived canonicalization")
@@ -246,7 +257,7 @@ TERM_KEY_BOUND = 4096  # shapes kept
 def _term_key(pattern: Pattern, exponents: tuple[int, ...]) -> tuple:
     rows = pattern.rows
     order = sorted(range(pattern.depth), key=rows.__getitem__)
-    merged = _merged_columns(pattern, exponents)
+    merged = merged_columns(pattern, exponents)
     pairs = sorted(
         (tuple(mask >> r & 1 for r in order), k) for mask, k in merged.items() if k
     )
@@ -415,7 +426,7 @@ def _chain_word(pattern: Pattern, exponents: tuple[int, ...]) -> Optional[Word]:
 def from_mzv(word: Sequence[int]) -> Term:
     """The staircase term whose value is zeta(word): row m covers columns
     m..d, column exponents (k_d, ..., k_1)."""
-    w = tuple(int(k) for k in word)
+    w = integers(word, ParseError, "word parts")
     if not w or any(k < 1 for k in w):
         raise ParseError(f"not a composition: {word!r}")
     d = len(w)
@@ -445,8 +456,8 @@ def comb_add(dst: dict, key, coeff: Rat) -> None:
 def stuffle_words(u: Sequence[int], v: Sequence[int]) -> MZVCombination:
     """Quasi-shuffle product of two words (empty word = unit):
     u * v = u1.(u' * v) + v1.(u * v') + (u1+v1).(u' * v')."""
-    u = tuple(int(x) for x in u)
-    v = tuple(int(x) for x in v)
+    u = integers(u, ParseError, "word parts")
+    v = integers(v, ParseError, "word parts")
     return _stuffle(u, v, {})
 
 

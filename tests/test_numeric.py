@@ -10,11 +10,11 @@ from fractions import Fraction as Rat
 import numpy as np
 import pytest
 
-from zetalattice import numeric, terms
+from zetalattice import moves, numeric, terms
 from zetalattice.corpus import random_corpus
 from zetalattice.engine import reduce_to_mzv
 from zetalattice.errors import CheckFailed, DivergentSeries, DivergentWord, ParseError
-from zetalattice.moves import TraceRecord
+from zetalattice.moves import TraceRecord, inverse_hp
 from zetalattice.numeric import (
     _partial_sums,
     check_comp_words,
@@ -41,6 +41,13 @@ def test_eval_mzv_hits_closed_forms():
     # depth two: zeta(2,2) = pi^4/120, and Euler's zeta(2,1) = zeta(3)
     assert abs(eval_mzv((2, 2)).value - math.pi**4 / 120) < 1e-6
     assert abs(eval_mzv((2, 1)).value - eval_mzv((3,)).value) < 1e-5
+
+
+@pytest.mark.parametrize("word", [(2.9,), (2.0,), ("2",)])
+def test_eval_mzv_refuses_non_integral_parts(word):
+    # int() would evaluate zeta(2) for (2.9,)
+    with pytest.raises(ParseError, match="must be integers"):
+        eval_mzv(word, 1000)
 
 
 def test_eval_error_estimate_is_honest():
@@ -443,6 +450,67 @@ def test_lattice_check_refuses_malformed_splits_typed():
                     check(bad)
 
 
+DEPTH_FOUR = term([(1, 2), (2, 2), (3, 4), (4, 4)], [1, 2, 1, 2])
+
+
+def depth_four_splits():
+    """The depth-4 split records of DEPTH_FOUR's reduction, and the inverse
+    split that undoes the first of them: the corpus records stop at depth
+    3."""
+    records = [
+        r
+        for r in reduce_to_mzv(DEPTH_FOUR).trace.records
+        if r.move == "forward_hp" and r.input.depth == 4
+    ]
+    assert records
+    first = records[0].outputs[0]
+    a, b = records[0].params["a"], records[0].params["b"]
+    inverse = TraceRecord("inverse_hp", first, inverse_hp(first, a, b), {"a": a, "b": b})
+    return [*records, inverse]
+
+
+def test_a_corrupted_case_table_fails_the_split_check(monkeypatch):
+    rec = depth_four_splits()[0]
+    n_gt_m, n_lt_m, n_eq_m = moves.SPLIT_CASES
+    numeric._check_split_cases.cache_clear()
+    step_check_lattice(rec)
+    # parts 1 and 2 swapped still partition the pairs (n, m), but their
+    # substitutions no longer give the outputs
+    monkeypatch.setattr(moves, "SPLIT_CASES", (n_lt_m, n_gt_m, n_eq_m))
+    numeric._check_split_cases.cache_clear()
+    with pytest.raises(CheckFailed, match="part 0"):
+        step_check_lattice(rec)
+    for cases in (
+        (n_gt_m, n_gt_m, n_eq_m),  # n > m twice, n < m never
+        (n_gt_m, n_lt_m),  # n = m never
+        (n_gt_m, n_lt_m, n_eq_m, n_eq_m),  # n = m twice
+        (n_gt_m, n_lt_m, ("uv", "uv")),  # n = m at 2u: the odd ones never
+    ):
+        monkeypatch.setattr(moves, "SPLIT_CASES", cases)
+        with pytest.raises(CheckFailed, match="do not partition"):
+            step_check_lattice(rec)
+
+
+def test_a_split_of_rows_that_do_not_touch_is_a_failed_check():
+    rec = depth_four_splits()[0]
+    assert (rec.params["a"], rec.params["b"]) == (0, 2)
+    # rows (1,2) and (4,4) are apart; rows (1,2) and (2,2) share column 2
+    for params in ({"a": 0, "b": 3}, {"a": 0, "b": 1}, {"a": 2, "b": 0}):
+        bad = TraceRecord(rec.move, rec.input, rec.outputs, params)
+        with pytest.raises(CheckFailed, match="do not touch"):
+            step_check_lattice(bad)
+        with pytest.raises(CheckFailed):
+            check_record(bad, rng=random.Random(0))
+
+
+def test_a_record_of_an_unknown_move_is_a_failed_check():
+    _, trace = tornheim_trace()
+    rec = next(r for r in trace.records if r.move == "pf_step")
+    bad = TraceRecord("insert_aux", rec.input, rec.outputs, {"pos": 1})
+    with pytest.raises(CheckFailed, match="insert_aux"):
+        check_record(bad, rng=random.Random(0))
+
+
 def one_pf_step_per_kind(records):
     """The first circuit pf_step and the first merge pf_step of ``records``,
     told apart by their params: a merge's hold its ``pair`` only."""
@@ -651,7 +719,11 @@ def test_integer_checks_match_the_fraction_reference(corpus_records):
     one_pf_step_per_kind(corpus_records)
     compensated = {r.move for r in corpus_records if len(r.outputs) == 4}
     assert compensated == {"forward_hp", "inverse_hp"}
-    for rec in corpus_records:
+    deeper = depth_four_splits()
+    assert {(r.move, r.input.depth) for r in deeper} == {
+        ("forward_hp", 4), ("inverse_hp", 4)
+    }
+    for rec in [*corpus_records, *deeper]:
         if rec.move == "emit":
             continue
         split = rec.move in ("forward_hp", "inverse_hp")

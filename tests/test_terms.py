@@ -1,6 +1,7 @@
 import gc
 from fractions import Fraction as Rat
 
+import numpy as np
 import pytest
 
 import zetalattice as zl
@@ -9,6 +10,7 @@ from zetalattice.errors import (
     IntervalBroken,
     MalformedInterval,
     NotChain,
+    ParseError,
     RankDeficient,
     ZeroColumn,
 )
@@ -49,6 +51,43 @@ def test_validate_rejects_bad_interval():
         zl.validate_pattern([(2, 1)], 2)
     with pytest.raises(MalformedInterval):
         zl.validate_pattern([(0, 1)], 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: term([(1, 2)], [2.7, 1]),
+        lambda: term([(1, 2)], [2.0, 1]),
+        lambda: term([(1, 2)], ["2", 1]),
+        lambda: term([(1, 2)], [Rat(2), 1]),
+        lambda: term([(1, 2.5)], [1, 2]),
+        lambda: zl.validate_pattern([(1.0, 2)], 2),
+    ],
+)
+def test_non_integral_rows_and_exponents_are_refused(build):
+    # int() would truncate 2.7 to 2 and read "2" as 2
+    with pytest.raises(MalformedInterval, match="must be integers"):
+        build()
+
+
+def test_integers_of_other_types_are_still_accepted():
+    t = term([(np.int64(1), 2)], [np.int64(2), True])
+    assert t == term([(1, 2)], [2, 1])
+    assert type(t.exponents[0]) is int
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_mzv((2.5, 1)),
+        lambda: from_mzv((2.0,)),
+        lambda: stuffle_words((2.5,), (1.2,)),
+        lambda: stuffle_words((2,), ("1",)),
+    ],
+)
+def test_non_integral_word_parts_are_refused(build):
+    with pytest.raises(ParseError, match="must be integers"):
+        build()
 
 
 def test_validate_rejects_dependent_rows():
