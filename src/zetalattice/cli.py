@@ -298,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("check", cmd_check, "reduce, then compare numerics on both sides"),
     ):
         sp = add(name, fn, help_)
-        sp.add_argument("--max-terms", type=int, default=100_000)
+        sp.add_argument("--max-terms", type=int, default=100_000,
+                        help="the most terms a reduction may pop (exit 3 "
+                        "past it); reduce reports its pops as terms_processed")
         sp.add_argument("--verify", action="store_true",
                         help="run exact per-step checks while reducing")
         sp.add_argument("--trace", metavar="FILE",

@@ -63,8 +63,8 @@ back to the input's width.  The second record is one pf_step from the
 canonical first part to the loop's net outputs, params
 ``{"pair": [i, j]}``: the loop's intermediates are never recorded, and no
 record holds a zero-exponent column.  A global term budget guards the
-whole reduction: every pop and every pass of a merge's loop.  Words come
-only from emits, and reduce_to_mzv never calls itself.
+whole reduction: it caps the pops, the trace's terms_processed.  Words
+come only from emits, and reduce_to_mzv never calls itself.
 
 Every move is linear in the coefficient of the term it rewrites: its
 choice, its parameters and the shapes of its outputs depend on the shape
@@ -77,13 +77,12 @@ times a kernel) among them.  An emit's params hold its word only: the
 word's coefficient is the emitted term's own.
 So a shape's expansion at coefficient 1 is a pure function of the shape
 (pattern, exponents, and whether the reduction is formal: stage (c) exists
-only then): the trace records, the canonical outputs with their term_key,
-the emitted word and the passes of a merge's inner loop, or None when the
-term parks.  Its coefficients are kept as ints, and filling the memo
-raises CheckFailed, naming the shape, if one is not an integer.  _expansion
-memoises it for the whole process, the last EXPANSION_BOUND shapes kept,
-with one interned copy of each term, pattern, exponent tuple, coefficient
-and term key it stores.  Every pop, in this call or any later one, applies
+only then): the trace records, the canonical outputs with their term_key
+and the emitted word, or None when the term parks.  Its coefficients are
+kept as ints, and filling the memo raises CheckFailed, naming the shape,
+if one is not an integer.  _expansion memoises it for the whole process,
+the last EXPANSION_BOUND shapes kept, with one interned copy of each term,
+pattern, exponent tuple, coefficient and term key it stores.  Every pop, in this call or any later one, applies
 its shape's expansion times its own m / D: the pool adds m times each
 output's int, and the pop keeps only the memo's stored records and its m.
 The trace is built once the pop loop has finished and no term is left
@@ -284,9 +283,9 @@ def _aux_column(t: Term, i: int, j: int) -> Term:
 
 def _merge(
     t: Term, a: int, b: int, boundary: tuple[Term, ...]
-) -> tuple[list[TraceRecord], list[Term], int]:
+) -> tuple[list[TraceRecord], list[Term]]:
     """Atomic merge of two adjacent rows a = [i, j-1] and b = [j, k], as its
-    two records, its raw outputs (unmerged) and the passes of its loop.
+    two records and its raw outputs (unmerged).
 
     The forward harmonic split comes first, with its ``boundary`` (see
     moves.split_boundary) appended to its outputs.  Its first part has two
@@ -317,14 +316,12 @@ def _merge(
         raise InvalidPivot(f"no circuit through the aux column of {aux_t}")
     net: list[Term] = []
     work = [aux_t]
-    passes = 0
     while work:
-        passes += 1
         for raw in pf_step(work.pop(), circuit, i - 1):
             # wider than t: no column has vanished yet
             (work if raw.width > t.width else net).append(raw)
     merged = TraceRecord("pf_step", c1, tuple(net), {"pair": [i, j]})
-    return [split, merged], rest + net, passes
+    return [split, merged], rest + net
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +337,14 @@ def _source_terms(source: Union[Term, Iterable[Term]]) -> Iterable[Term]:
 class _Expansion:
     """What the driver does with one popped shape at coefficient 1: the
     trace records (see _stored), the canonical outputs with their term_keys
-    and their coefficients as ints, the emitted word and the budget ticks of
-    a merge's inner loop.  Nothing in it is mutable, and its terms and keys
-    are interned."""
+    and their coefficients as ints, and the emitted word.  Nothing in it is
+    mutable, and its terms and keys are interned."""
 
     records: tuple
     outputs: tuple
     keys: tuple
     ints: tuple
     word: Optional[Word]
-    ticks: int
 
 
 def _shared(t: Term) -> Term:
@@ -430,7 +425,6 @@ def _expansion(
     t = Term(pattern, exponents, Rat(1))
     records: list[TraceRecord] = []
     outputs: list[tuple[Term, tuple]] = []
-    ticks = 0
     word = chain_word(t)
     if word is not None:
         records.append(TraceRecord("emit", t, (), {"word": list(word)}))
@@ -456,7 +450,7 @@ def _expansion(
             outs = (*outs, *(u.scaled(-1) for u in boundary))
             records.append(TraceRecord("inverse_hp", t, outs, {"a": a, "b": b}))
         else:
-            records, outs, ticks = _merge(t, a, b, boundary)
+            records, outs = _merge(t, a, b, boundary)
         outputs = _keyed(outs)
     return _Expansion(
         tuple(_stored(rec, t) for rec in records),
@@ -464,7 +458,6 @@ def _expansion(
         tuple(key for _, key in outputs),  # term_key interns its values
         tuple(_integer(ct.coefficient, t) for ct, _ in outputs),
         None if word is None else interned(word),
-        ticks,
     )
 
 
@@ -480,13 +473,15 @@ def reduce_to_mzv(
     docstring) with the trace, combination and counters of expanding it
     afresh.  The input counts as convergent when every source term
     converges, terms of coefficient 0 included; the others must share one
-    weight.  The trace records are built after the last pop, and only when
-    no term is left parked: a reduction that raises ParkedTermsError,
-    TermBudgetExceeded or ProgressViolation builds none.  With
-    ``verify=True`` each record goes to numeric.check_record as soon as it is
-    built, in trace order, which runs the exact per-step checks once per
-    relation: a record that is a rational multiple of one already proven
-    passes without a new check.  A reduction that parks therefore raises
+    weight.  ``max_terms`` caps the pops, the trace's terms_processed: the
+    pop after the last it allows raises TermBudgetExceeded, so a reduction
+    that finishes with n pops finishes alike with ``max_terms=n``.  The
+    trace records are built after the last pop, and only when no term is
+    left parked: a reduction that raises ParkedTermsError, TermBudgetExceeded
+    or ProgressViolation builds none.  With ``verify=True`` each record goes
+    to numeric.check_record as soon as it is built, in trace order, which
+    runs the exact per-step checks once per relation: a record that is a
+    rational multiple of one already proven passes without a new check.  A reduction that parks therefore raises
     ParkedTermsError before any step check.  The combination's values are
     interned Fractions (see terms.interned), one object per value."""
     if max_terms < 1:
@@ -520,16 +515,6 @@ def reduce_to_mzv(
         add(ct, key, int(Rat(ct.coefficient) * d))
     trace = ReductionTrace()
     rng = random.Random(seed)  # draws the points of verify's rational checks
-    used = 0  # the budget spent: one per pop, one per pass of a merge's loop
-
-    def charge(ticks: int) -> None:
-        nonlocal used
-        used += ticks
-        if used > max_terms:
-            raise TermBudgetExceeded(
-                f"reduction exceeded the term budget of {max_terms}"
-            )
-
     combo: dict = {}  # word -> multiple of 1/d
     steps: list = []  # (stored records, m) of every pop that expands
     while pending:
@@ -539,7 +524,10 @@ def reduce_to_mzv(
         trace.max_live = max(trace.max_live, len(pending) + len(parked))
         t, m = pending.pop(key)
         trace.terms_processed += 1
-        charge(1)
+        if trace.terms_processed > max_terms:
+            raise TermBudgetExceeded(
+                f"reduction exceeded the term budget of {max_terms}"
+            )
         assert t.weight in weights
 
         exp = _expansion(t.pattern, t.exponents, not input_convergent)
@@ -548,7 +536,6 @@ def reduce_to_mzv(
             continue
         # Every move is linear in the coefficient, so a visit is the
         # expansion at coefficient 1 times m / d.
-        charge(exp.ticks)
         steps.append((exp.records, m))
         for ct, out_key, n in zip(exp.outputs, exp.keys, exp.ints):
             add(ct, out_key, m * n)

@@ -47,7 +47,6 @@ from .errors import (
 from .linalg import CircuitDependency
 from .terms import (
     Pattern,
-    Rat,
     Term,
     converges,
     direct_sum,
@@ -122,22 +121,23 @@ def pf_step(t: Term, circuit: CircuitDependency, pivot: int) -> list[Term]:
 # harmonic product
 
 
-def _with_rows(t: Term, a: int, b: int, ra, rb, sign=Rat(1)) -> Term:
+def _with_rows(t: Term, a: int, b: int, ra, rb) -> Term:
     """``t`` with row a replaced by ``ra`` and row b by ``rb`` (dropped when
-    ``rb`` is None), coefficient times ``sign``; exponents unchanged."""
+    ``rb`` is None); exponents and coefficient unchanged."""
     rows = list(t.pattern.rows)
     rows[a] = ra
     if rb is None:
         del rows[b]
     else:
         rows[b] = rb
-    return Term(Pattern(t.width, tuple(rows)), t.exponents, t.coefficient * sign)
+    return Term(Pattern(t.width, tuple(rows)), t.exponents, t.coefficient)
 
 
 # The split's parts n > m, n < m, n = m (n of row a, m of row b), each
 # writing n and m as sums of its output's u (row a) and v (row b; no v
-# drops it).  forward_hp builds its outputs from this table, and
-# numeric.step_check_lattice substitutes it into the source's column forms.
+# drops it).  forward_hp builds its outputs from this table, inverse_hp
+# its last two through forward_hp, and numeric.step_check_lattice
+# substitutes it into the source's column forms.
 SPLIT_CASES = (("uv", "u"), ("u", "uv"), ("u", "u"))
 
 
@@ -172,10 +172,11 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
     """Resolve two rows sharing a start: a = [c,k], b = [c,j] with j < k.
 
     Returns (out1, out2, out3) with signs (+, -, -) folded into the
-    coefficients:  t = out1 - out2 - out3  where out1 = {[c,j],[j+1,k]},
-    out2 = {[c,k],[j+1,k]}, out3 = {[c,k]} (row b dropped).  In every output
+    coefficients:  t = out1 - out2 - out3  where out1 = {[c,j],[j+1,k]} and
+    out2, out3 are the second and third outputs of forward_hp(out1, a, b),
+    {[c,k],[j+1,k]} and {[c,k]} (row b dropped), negated.  In every output
     the replaced rows sit at positions a and b, so forward_hp(out1, a, b)
-    reproduces (t, out2, out3) exactly.
+    reproduces (t, out2, out3) up to those signs.
     """
     if a == b:
         raise RowsDontShareStart("need two distinct rows")
@@ -187,11 +188,9 @@ def inverse_hp(t: Term, a: int, b: int) -> tuple[Term, Term, Term]:
         )
     if not j < k:
         raise RowsDontShareStart("rowB must end strictly before rowA")
-    return (
-        _with_rows(t, a, b, (c, j), (j + 1, k)),
-        _with_rows(t, a, b, (c, k), (j + 1, k), Rat(-1)),
-        _with_rows(t, a, b, (c, k), None, Rat(-1)),
-    )
+    out1 = _with_rows(t, a, b, (c, j), (j + 1, k))
+    _, out2, out3 = forward_hp(out1, a, b)
+    return out1, out2.scaled(-1), out3.scaled(-1)
 
 
 def forward_split(rec: TraceRecord) -> tuple[Term, list[Term], tuple[Term, ...]]:

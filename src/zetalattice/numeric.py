@@ -56,10 +56,10 @@ from .terms import (
     Word,
     chain_word,
     converges,
-    integers,
     interned,
     is_admissible,
     merged_columns,
+    word_parts,
 )
 
 DEPTH_CUTOFFS = {1: 1_000_000, 2: 3000, 3: 600}
@@ -387,8 +387,8 @@ def _word_partials(word: Word, cutoffs: Sequence[int]) -> list[float]:
 
 def eval_mzv(word: Sequence[int], N: int = 100_000) -> EvalReport:
     """Extrapolated numeric zeta(word); the first part must be >= 2."""
-    w = integers(word, ParseError, "word parts")
-    if not w or any(k < 1 for k in w):
+    w = word_parts(word)
+    if not w:
         raise ParseError(f"not a composition: {word!r}")
     if not is_admissible(w):
         raise DivergentWord(f"zeta{w} diverges (first part < 2)")

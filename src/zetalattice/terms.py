@@ -101,6 +101,15 @@ def integers(values: Iterable, error: type[Exception], what: str) -> tuple[int, 
         raise error(f"{what} must be integers: {values!r}") from None
 
 
+def word_parts(word: Iterable) -> Word:
+    """``word`` as a tuple of ints, each at least 1 (see integers); the
+    empty word passes.  ParseError otherwise."""
+    w = integers(word, ParseError, "word parts")
+    if any(k < 1 for k in w):
+        raise ParseError(f"not a composition: {word!r}")
+    return w
+
+
 def validate_pattern(rows: Sequence[Sequence[int]], width: int) -> Pattern:
     """Full well-formedness check; raises MalformedInterval / ZeroColumn /
     RankDeficient.  Returns the pattern with rows in the given order."""
@@ -426,8 +435,8 @@ def _chain_word(pattern: Pattern, exponents: tuple[int, ...]) -> Optional[Word]:
 def from_mzv(word: Sequence[int]) -> Term:
     """The staircase term whose value is zeta(word): row m covers columns
     m..d, column exponents (k_d, ..., k_1)."""
-    w = integers(word, ParseError, "word parts")
-    if not w or any(k < 1 for k in w):
+    w = word_parts(word)
+    if not w:
         raise ParseError(f"not a composition: {word!r}")
     d = len(w)
     rows = [(m, d) for m in range(1, d + 1)]
@@ -456,9 +465,7 @@ def comb_add(dst: dict, key, coeff: Rat) -> None:
 def stuffle_words(u: Sequence[int], v: Sequence[int]) -> MZVCombination:
     """Quasi-shuffle product of two words (empty word = unit):
     u * v = u1.(u' * v) + v1.(u * v') + (u1+v1).(u' * v')."""
-    u = integers(u, ParseError, "word parts")
-    v = integers(v, ParseError, "word parts")
-    return _stuffle(u, v, {})
+    return _stuffle(word_parts(u), word_parts(v), {})
 
 
 def _stuffle(a: Word, b: Word, memo: dict) -> MZVCombination:
@@ -572,6 +579,4 @@ def parse_word(text: str) -> Word:
         word = tuple(int(p) for p in parts)
     except ValueError:
         raise ParseError(f"bad word {text!r}") from None
-    if any(k < 1 for k in word):
-        raise ParseError(f"word parts must be positive: {text!r}")
-    return word
+    return word_parts(word)

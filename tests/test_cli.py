@@ -209,6 +209,14 @@ def test_budget_exhaustion_exits_3():
     run_cli("reduce", TORNHEIM, "--max-terms", "1", expect=3)
 
 
+def test_the_budget_is_the_reported_pop_count(capsys):
+    # TORNHEIM reports 6 terms_processed, and 6 is the budget it needs
+    assert cli.main(["reduce", TORNHEIM, "--max-terms", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms_processed"] == 6
+    assert cli.main(["reduce", TORNHEIM, "--max-terms", "5"]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "TermBudgetExceeded"
+
+
 def test_parked_terms_exit_3(capsys):
     # a deep4 term whose split boundaries never cancel: the reduction found
     # no applicable move, and no check was requested

@@ -369,10 +369,9 @@ def test_an_emit_without_a_word_is_a_failed_check():
 
 def test_merge_step_outputs_share_the_input_weight():
     t = term([(1, 1), (2, 2)], [2, 2])
-    recs, outs, passes = engine._merge(t, 0, 1, ())
+    recs, outs = engine._merge(t, 0, 1, ())
     assert outs and all(u.weight == t.weight for u in outs)
     assert [r.move for r in recs] == ["forward_hp", "pf_step"]
-    assert passes >= 1
 
 
 def test_a_merge_is_one_split_and_one_pf_step(corpus200):
@@ -561,13 +560,13 @@ def test_verify_checks_every_record_with_a_warm_table(cold_expansions, monkeypat
 
 
 def test_budget_counts_every_revisit():
-    # the smallest budget that reduces REVISITING, as before shapes were
-    # replayed: 29 pops plus the inner passes of its merges
-    res = reduce_to_mzv(REVISITING, max_terms=49)
+    # the smallest budget that reduces REVISITING is its 29 pops, replayed
+    # shapes included
+    res = reduce_to_mzv(REVISITING, max_terms=29)
     assert res.combination == {(3, 1, 1): Rat(1), (3, 2): Rat(1)}
     assert res.trace.terms_processed == 29
     with pytest.raises(TermBudgetExceeded):
-        reduce_to_mzv(REVISITING, max_terms=48)
+        reduce_to_mzv(REVISITING, max_terms=28)
 
 
 # the parked deep4 term of test_parked_terms_are_reported_as_term_json
@@ -587,7 +586,7 @@ def test_failed_reductions_build_no_records(monkeypatch):
     with pytest.raises(ParkedTermsError):
         reduce_to_mzv(PARKED_DEEP4)
     with pytest.raises(TermBudgetExceeded):
-        reduce_to_mzv(REVISITING, max_terms=48)
+        reduce_to_mzv(REVISITING, max_terms=28)
     assert calls == {"_applied": 0, "check_record": 0}
     # the step checks come after the parked check too
     with pytest.raises(ParkedTermsError):
@@ -611,16 +610,30 @@ def test_one_pop_shares_one_fraction_per_coefficient():
     "t, smallest",
     [
         # four compensated splits, whose boundary terms the pool reduces
-        (term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1]), 286),
+        (term([(1, 2), (2, 4), (3, 4), (4, 5)], [1, 1, 1, 1, 1]), 153),
         # three compensated shapes, one of them replayed: four boundary terms
-        (term([(1, 3), (2, 4), (3, 3), (4, 4)], [1, 1, 2, 2]), 157),
+        (term([(1, 3), (2, 4), (3, 3), (4, 4)], [1, 1, 2, 2]), 90),
     ],
     ids=["chain4", "replayed"],
 )
 def test_budget_counts_the_pops_of_boundary_terms(t, smallest):
-    reduce_to_mzv(t, max_terms=smallest)
+    assert reduce_to_mzv(t, max_terms=smallest).trace.terms_processed == smallest
     with pytest.raises(TermBudgetExceeded):
         reduce_to_mzv(t, max_terms=smallest - 1)
+
+
+def test_every_corpus_term_reduces_at_its_own_pop_count(corpus200):
+    # the budget caps terms_processed: a budget of exactly the pops a
+    # reduction makes gives the default run's answer, and one less fails
+    # (a budget of 0, one less than a lone emit's, is refused as input)
+    for t in corpus200:
+        res = reduce_to_mzv(t)
+        n = res.trace.terms_processed
+        capped = reduce_to_mzv(t, max_terms=n)
+        assert capped.combination == res.combination, t
+        assert capped.trace.to_json_lines() == res.trace.to_json_lines(), t
+        with pytest.raises(TermBudgetExceeded if n > 1 else ParseError):
+            reduce_to_mzv(t, max_terms=n - 1)
 
 
 def test_parked_set_is_pinned():

@@ -90,6 +90,14 @@ def test_non_integral_word_parts_are_refused(build):
         build()
 
 
+def test_word_parts_below_1_are_refused():
+    for u, v in (((0,), (2,)), ((-1,), (1,)), ((2,), (2, 0))):
+        with pytest.raises(ParseError, match="not a composition"):
+            stuffle_words(u, v)
+    # the empty word stays the unit of the product
+    assert stuffle_words((), (2, 1)) == {(2, 1): 1}
+
+
 def test_validate_rejects_dependent_rows():
     # rows x, y, x+y: the third column set is forced dependent
     with pytest.raises(RankDeficient):
